@@ -52,7 +52,6 @@ from .sets import (
     Sum,
     convex_hull_iru,
     convex_hull_sample,
-    enumerate_set,
     eval_expr,
     hausdorff_distance,
     minkowski_product,
@@ -102,7 +101,6 @@ __all__ = [
     "collatz_wielandt_upper",
     "convex_hull_iru",
     "convex_hull_sample",
-    "enumerate_set",
     "eval_expr",
     "hausdorff_distance",
     "mat_mul",

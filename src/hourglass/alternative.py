@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import COMPARISON_TOL, Matrix, _as_vector, _readonly
+from .linalg import COMPARISON_TOL, Matrix, as_vector, readonly
 from .sets import DEFAULT_CAP, MatrixSet
 
 
@@ -97,7 +97,7 @@ def _report(
     all_above, wit_lo, all_below, wit_hi = _branches_at(images, images[probe_index], tol)
     return HourglassReport(
         probe_matrix=Matrix(members[probe_index]),
-        probe_vector=_readonly(np.array(u)),
+        probe_vector=readonly(np.array(u)),
         h1=BranchReport(all_above, Matrix(members[wit_lo]) if wit_lo is not None else None),
         h2=BranchReport(all_below, Matrix(members[wit_hi]) if wit_hi is not None else None),
     )
@@ -117,8 +117,8 @@ def check_hourglass_at(
     weak comparisons are relaxed by ``tol`` and "differs" means some entry
     deviates by more than ``tol``.
     """
-    members = mset._array(cap)
-    u = _as_vector(u, mset.shape[1], "u")
+    members = mset.stack(cap)
+    u = as_vector(u, mset.shape[1], "u")
     if (u <= 0).any():
         raise ValueError("probe vector u must be strictly positive")
     if probe.shape != mset.shape:
@@ -146,7 +146,7 @@ def check_hset_sampled(
     [1e-2, 1e2].  The same seed reproduces the exact same draws.  The check
     passes when every report holds; all failing reports are returned.
     """
-    members = mset._array(cap)
+    members = mset.stack(cap)
     count, _, n_cols = members.shape
     rng = np.random.default_rng(rng_seed)
     failures: list[HourglassReport] = []

@@ -12,55 +12,36 @@ flag wins over both.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .alternative import HourglassReport, check_hset_sampled
 from .errors import CapExceededError, ParseError, ShapeError
-from .linalg import Matrix, PerronData, spectral_radius
+from .linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, Matrix, PerronData, spectral_radius
 from .saddle import (
-    Certificate,
-    _table_data,
     certify_saddle,
     check_saddle_hull_samples,
+    product_table,
+    reduce_table,
     solve_saddle,
 )
 from .sets import (
     DEFAULT_CAP,
-    FiniteSet,
     MatrixSet,
-    enumerate_set,
     hausdorff_distance,
     random_iru_set,
     set_from_json,
-    set_to_json,
 )
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    inputs: tuple[str, ...] = ()
-    tol: float = 1e-9
-    seed: int = 0
-    probes: int = 50
-    hull_samples: int = 0
-    trials: int = 20
-    cap: int = DEFAULT_CAP
-    max_iter: int = 100_000
-    certify: bool = False
-    table: bool = False
-    require_equality: bool = False
-    output: str | None = None
 
 
 def _env_cap() -> int:
@@ -86,30 +67,12 @@ def _load_json(path: str):
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
 
 
-def _load_matrix(path: str) -> Matrix:
-    return Matrix.from_json(_load_json(path), location=path)
-
-
 def _load_set(path: str) -> MatrixSet:
     return set_from_json(_load_json(path), location=path)
 
 
 def _perron_json(perron: PerronData) -> dict:
-    return {
-        "rho": perron.rho,
-        "vector": perron.vector.tolist(),
-        "iterations": perron.iterations,
-        "converged": perron.converged,
-    }
-
-
-def _certificate_json(cert: Certificate) -> dict:
-    return {
-        "a_residual": cert.a_residual,
-        "b_residual": cert.b_residual,
-        "valid": cert.valid,
-        "conclusive": cert.conclusive,
-    }
+    return {**dataclasses.asdict(perron), "vector": perron.vector.tolist()}
 
 
 def _hourglass_report_json(report: HourglassReport) -> dict:
@@ -129,9 +92,9 @@ def _hourglass_report_json(report: HourglassReport) -> dict:
     }
 
 
-def _cmd_spectral(config: RunConfig) -> tuple[int, dict]:
-    matrix = _load_matrix(config.inputs[0])
-    perron = spectral_radius(matrix, tol=config.tol, max_iter=config.max_iter)
+def _cmd_spectral(args: argparse.Namespace) -> tuple[int, dict]:
+    matrix = Matrix.from_json(_load_json(args.matrix), location=args.matrix)
+    perron = spectral_radius(matrix, tol=args.tol, max_iter=args.max_iter)
     report = _perron_json(perron)
     if not perron.converged:
         report["error"] = {
@@ -142,14 +105,14 @@ def _cmd_spectral(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _cmd_minimax(config: RunConfig) -> tuple[int, dict]:
-    a_set = _load_set(config.inputs[0])
-    b_set = _load_set(config.inputs[1])
-    table, conv, _, _ = _table_data(a_set, b_set, config.cap, 1e-12, config.max_iter)
-    minmax = float(table.max(axis=1).min())
-    maxmin = float(table.min(axis=0).max())
+def _cmd_minimax(args: argparse.Namespace) -> tuple[int, dict]:
+    a_set = _load_set(args.a_set)
+    b_set = _load_set(args.b_set)
+    stack_a, stack_b = a_set.stack(args.cap), b_set.stack(args.cap)
+    table, conv = product_table(stack_a, stack_b, args.cap, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    minmax, maxmin, _, _ = reduce_table(table)
     report = {"minmax": minmax, "maxmin": maxmin, "gap": minmax - maxmin}
-    if config.table:
+    if args.table:
         report["table"] = table.tolist()
     if not conv.all():
         report["error"] = {
@@ -157,15 +120,15 @@ def _cmd_minimax(config: RunConfig) -> tuple[int, dict]:
             "message": f"{int((~conv).sum())} table entries did not stabilize",
         }
         return EXIT_NUMERIC, report
-    if config.require_equality and report["gap"] > config.tol:
+    if args.require_equality and report["gap"] > args.tol:
         return EXIT_PROPERTY, report
     return EXIT_OK, report
 
 
-def _cmd_saddle(config: RunConfig) -> tuple[int, dict]:
-    a_set = _load_set(config.inputs[0])
-    b_set = _load_set(config.inputs[1])
-    result = solve_saddle(a_set, b_set, cap=config.cap)
+def _cmd_saddle(args: argparse.Namespace) -> tuple[int, dict]:
+    a_set = _load_set(args.a_set)
+    b_set = _load_set(args.b_set)
+    result = solve_saddle(a_set, b_set, cap=args.cap)
     report = {
         "a_tilde": result.a_tilde.to_json(),
         "b_tilde": result.b_tilde.to_json(),
@@ -176,19 +139,13 @@ def _cmd_saddle(config: RunConfig) -> tuple[int, dict]:
         "w": result.w.tolist(),
         "perron": _perron_json(result.perron),
     }
-    if config.certify:
-        cert = certify_saddle(result, a_set, b_set, tol=config.tol, cap=config.cap)
-        report["certificate"] = _certificate_json(cert)
-    if config.hull_samples > 0:
-        report["hull_samples"] = config.hull_samples
+    if args.certify:
+        cert = certify_saddle(result, a_set, b_set, tol=args.tol, cap=args.cap)
+        report["certificate"] = dataclasses.asdict(cert)
+    if args.hull_samples > 0:
+        report["hull_samples"] = args.hull_samples
         report["hull_check"] = check_saddle_hull_samples(
-            result,
-            a_set,
-            b_set,
-            config.hull_samples,
-            config.seed,
-            tol=config.tol,
-            cap=config.cap,
+            result, a_set, b_set, args.hull_samples, args.seed, tol=args.tol, cap=args.cap
         )
     if not result.perron.converged:
         report["error"] = {
@@ -196,19 +153,17 @@ def _cmd_saddle(config: RunConfig) -> tuple[int, dict]:
             "message": "power iteration on the saddle product did not stabilize",
         }
         return EXIT_NUMERIC, report
-    if config.require_equality and result.gap > config.tol:
+    if args.require_equality and result.gap > args.tol:
         return EXIT_PROPERTY, report
     return EXIT_OK, report
 
 
-def _cmd_hset_check(config: RunConfig) -> tuple[int, dict]:
-    mset = _load_set(config.inputs[0])
-    outcome = check_hset_sampled(
-        mset, config.probes, config.seed, tol=config.tol, cap=config.cap
-    )
+def _cmd_hset_check(args: argparse.Namespace) -> tuple[int, dict]:
+    mset = _load_set(args.set)
+    outcome = check_hset_sampled(mset, args.probes, args.seed, tol=args.tol, cap=args.cap)
     report = {
         "passed": outcome.passed,
-        "probes_per_member": config.probes,
+        "probes_per_member": args.probes,
         "failures": len(outcome.failures),
     }
     if outcome.failures:
@@ -217,28 +172,29 @@ def _cmd_hset_check(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
-def _cmd_hausdorff(config: RunConfig) -> tuple[int, dict]:
-    a_set = _load_set(config.inputs[0])
-    b_set = _load_set(config.inputs[1])
-    return EXIT_OK, {"distance": hausdorff_distance(a_set, b_set, cap=config.cap)}
+def _cmd_hausdorff(args: argparse.Namespace) -> tuple[int, dict]:
+    a_set = _load_set(args.a_set)
+    b_set = _load_set(args.b_set)
+    return EXIT_OK, {"distance": hausdorff_distance(a_set, b_set, cap=args.cap)}
 
 
-def _cmd_algebra(config: RunConfig) -> tuple[int, dict]:
-    mset = _load_set(config.inputs[0])
-    members = enumerate_set(mset, cap=config.cap)
-    return EXIT_OK, set_to_json(FiniteSet(members))
+def _cmd_algebra(args: argparse.Namespace) -> tuple[int, dict]:
+    stack = _load_set(args.set).stack(args.cap)
+    rows, cols = stack.shape[1:]
+    matrices = [{"rows": rows, "cols": cols, "data": a.tolist()} for a in stack]
+    return EXIT_OK, {"kind": "finite", "matrices": matrices}
 
 
-def _cmd_batch(config: RunConfig) -> tuple[int, dict]:
-    rng = np.random.default_rng(config.seed)
+def _cmd_batch(args: argparse.Namespace) -> tuple[int, dict]:
+    rng = np.random.default_rng(args.seed)
     results = []
     max_gap = 0.0
-    for index in range(config.trials):
+    for index in range(args.trials):
         n = int(rng.integers(2, 4))
         m = int(rng.integers(2, 4))
         a_set = random_iru_set(rng, n, m, max_rows_per_set=3)
         b_set = random_iru_set(rng, m, n, max_rows_per_set=3)
-        solved = solve_saddle(a_set, b_set, cap=config.cap)
+        solved = solve_saddle(a_set, b_set, cap=args.cap)
         max_gap = max(max_gap, solved.gap)
         results.append(
             {
@@ -252,40 +208,15 @@ def _cmd_batch(config: RunConfig) -> tuple[int, dict]:
             }
         )
     report = {
-        "trials": config.trials,
-        "tol": config.tol,
+        "trials": args.trials,
+        "tol": args.tol,
         "max_gap": max_gap,
-        "all_within_tol": max_gap <= config.tol,
+        "all_within_tol": max_gap <= args.tol,
         "results": results,
     }
-    if config.require_equality and max_gap > config.tol:
+    if args.require_equality and max_gap > args.tol:
         return EXIT_PROPERTY, report
     return EXIT_OK, report
-
-
-_COMMANDS = {
-    "spectral": _cmd_spectral,
-    "minimax": _cmd_minimax,
-    "saddle": _cmd_saddle,
-    "hset-check": _cmd_hset_check,
-    "hausdorff": _cmd_hausdorff,
-    "algebra": _cmd_algebra,
-    "batch": _cmd_batch,
-}
-
-
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Dispatch a parsed configuration; returns (exit code, report)."""
-    try:
-        return _COMMANDS[config.command](config)
-    except ParseError as exc:
-        return EXIT_PARSE, {
-            "error": {"kind": "parse", "location": exc.location, "message": exc.message}
-        }
-    except (CapExceededError, ShapeError, ValueError, TypeError) as exc:
-        return EXIT_PARSE, {
-            "error": {"kind": "input", "message": str(exc)}
-        }
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -297,7 +228,22 @@ def _emit(report: dict, output: str | None) -> None:
             fh.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process on first use."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write the report to a file")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("a_set", help="set JSON file for A")
+    pair.add_argument("b_set", help="set JSON file for B")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    equality = argparse.ArgumentParser(add_help=False)
+    equality.add_argument("--tol", type=float, default=1e-9)
+    equality.add_argument("--require-equality", action="store_true")
+
     parser = argparse.ArgumentParser(
         prog="hourglass",
         description=(
@@ -305,104 +251,64 @@ def _build_parser() -> argparse.ArgumentParser:
             "spectral radii of products of non-negative matrices."
         ),
     )
+    # Every command passes the --cap and --tol checks in main; a command's
+    # own flags override these stand-ins.
+    parser.set_defaults(cap=None, tol=1e-9)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, cap=True):
-        if cap:
-            p.add_argument("--cap", type=int, default=None, help="enumeration cap")
-        p.add_argument("--out", default=None, help="write the report to a file")
+    def command(name, run, summary, parents):
+        p = sub.add_parser(name, help=summary, parents=[*parents, out])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("spectral", help="spectral radius of one matrix")
+    p = command("spectral", _cmd_spectral, "spectral radius of one matrix", [])
     p.add_argument("matrix", help="matrix JSON file")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=100_000)
-    common(p, cap=False)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
 
-    p = sub.add_parser("minimax", help="min-max / max-min table reductions")
-    p.add_argument("a_set", help="set JSON file for the minimizing player")
-    p.add_argument("b_set", help="set JSON file for the maximizing player")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p = command("minimax", _cmd_minimax, "min-max / max-min table reductions",
+                [pair, equality, capped])
     p.add_argument("--table", action="store_true", help="include the full table")
-    p.add_argument("--require-equality", action="store_true")
-    common(p)
 
-    p = sub.add_parser("saddle", help="solve and optionally certify a saddle")
-    p.add_argument("a_set")
-    p.add_argument("b_set")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p = command("saddle", _cmd_saddle, "solve and optionally certify a saddle",
+                [pair, equality, seeded, capped])
     p.add_argument("--certify", action="store_true")
     p.add_argument("--hull-samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--require-equality", action="store_true")
-    common(p)
 
-    p = sub.add_parser("hset-check", help="sampled alternative check of one set")
+    p = command("hset-check", _cmd_hset_check, "sampled alternative check of one set",
+                [seeded, capped])
     p.add_argument("set", help="set JSON file")
     p.add_argument("--probes", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
 
-    p = sub.add_parser("hausdorff", help="Hausdorff distance of two sets")
-    p.add_argument("a_set")
-    p.add_argument("b_set")
-    common(p)
+    command("hausdorff", _cmd_hausdorff, "Hausdorff distance of two sets", [pair, capped])
 
-    p = sub.add_parser("algebra", help="materialize a set to its finite form")
+    p = command("algebra", _cmd_algebra, "materialize a set to its finite form", [capped])
     p.add_argument("set")
-    common(p)
 
-    p = sub.add_parser("batch", help="random equality sweep over IRU pairs")
+    p = command("batch", _cmd_batch, "random equality sweep over IRU pairs",
+                [equality, seeded, capped])
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--require-equality", action="store_true")
-    common(p)
-
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = tuple(
-        getattr(args, name)
-        for name in ("matrix", "a_set", "b_set", "set")
-        if getattr(args, name, None) is not None
-    )
-    cap = getattr(args, "cap", None)
-    if cap is not None and cap < 1:
-        raise ParseError("--cap", "cap must be at least 1")
-    tol = getattr(args, "tol", 1e-9)
-    if not tol > 0:
-        raise ParseError("--tol", "tolerance must be positive")
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        tol=tol,
-        seed=getattr(args, "seed", 0),
-        probes=getattr(args, "probes", 50),
-        hull_samples=getattr(args, "hull_samples", 0),
-        trials=getattr(args, "trials", 20),
-        cap=cap if cap is not None else _env_cap(),
-        max_iter=getattr(args, "max_iter", 100_000),
-        certify=getattr(args, "certify", False),
-        table=getattr(args, "table", False),
-        require_equality=getattr(args, "require_equality", False),
-        output=getattr(args, "out", None),
-    )
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
+        if args.cap is not None and args.cap < 1:
+            raise ParseError("--cap", "cap must be at least 1")
+        if not args.tol > 0:
+            raise ParseError("--tol", "tolerance must be positive")
+        if args.cap is None:
+            args.cap = _env_cap()
+        code, report = args.run(args)
     except ParseError as exc:
-        _emit(
-            {"error": {"kind": "parse", "location": exc.location, "message": exc.message}},
-            getattr(args, "out", None),
-        )
-        return EXIT_PARSE
-    code, report = run(config)
-    _emit(report, config.output)
+        code, report = EXIT_PARSE, {
+            "error": {"kind": "parse", "location": exc.location, "message": exc.message}
+        }
+    except (CapExceededError, ShapeError, ValueError, TypeError) as exc:
+        code, report = EXIT_PARSE, {"error": {"kind": "input", "message": str(exc)}}
+    _emit(report, args.out)
     return code
 
 

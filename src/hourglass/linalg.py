@@ -32,7 +32,8 @@ DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def readonly(arr: np.ndarray) -> np.ndarray:
+    """Mark ``arr`` read-only in place and return it."""
     arr.setflags(write=False)
     return arr
 
@@ -64,7 +65,7 @@ class Matrix:
                 raise ValueError("matrix declared positive has an entry <= 0")
         elif (arr < 0).any():
             raise ValueError("matrix entries must be non-negative")
-        self._data = _readonly(arr)
+        self._data = readonly(arr)
 
     @property
     def data(self) -> np.ndarray:
@@ -149,7 +150,8 @@ def _expect_index(obj: dict, key: str, location: str) -> int:
     return value
 
 
-def _as_vector(u, n: int, name: str = "vector") -> np.ndarray:
+def as_vector(u, n: int, name: str = "vector") -> np.ndarray:
+    """``u`` as a finite float64 vector of shape (n,)."""
     arr = np.asarray(u, dtype=np.float64)
     if arr.shape != (n,):
         raise ShapeError(f"{name} must have shape ({n},), got {arr.shape}")
@@ -185,7 +187,7 @@ class PerronData:
     converged: bool
 
 
-def _power_many(
+def power_many(
     mats: np.ndarray,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
@@ -269,12 +271,12 @@ def spectral_radius(
     """
     if a.rows != a.cols:
         raise ShapeError(f"spectral radius needs a square matrix, got {a.rows}x{a.cols}")
-    rho, vectors, iterations, converged = _power_many(
+    rho, vectors, iterations, converged = power_many(
         a.data[None, :, :], tol=tol, max_iter=max_iter
     )
     return PerronData(
         rho=float(rho[0]),
-        vector=_readonly(vectors[0]),
+        vector=readonly(vectors[0]),
         iterations=int(iterations[0]),
         converged=bool(converged[0]),
     )
@@ -288,7 +290,7 @@ def collatz_wielandt_upper(a: Matrix, u) -> float:
     """
     if a.rows != a.cols:
         raise ShapeError(f"needs a square matrix, got {a.rows}x{a.cols}")
-    u = _as_vector(u, a.rows, "u")
+    u = as_vector(u, a.rows, "u")
     if (u <= 0).any():
         raise ValueError("u has a non-positive entry")
     return float((a.data @ u / u).max())
@@ -302,7 +304,7 @@ def collatz_wielandt_lower(a: Matrix, u) -> float:
     """
     if a.rows != a.cols:
         raise ShapeError(f"needs a square matrix, got {a.rows}x{a.cols}")
-    u = _as_vector(u, a.rows, "u")
+    u = as_vector(u, a.rows, "u")
     if (u < 0).any():
         raise ValueError("u has a negative entry")
     support = u > 0

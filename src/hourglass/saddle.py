@@ -23,12 +23,12 @@ from .linalg import (
     DEFAULT_TOL,
     Matrix,
     PerronData,
-    _power_many,
-    _readonly,
     mat_mul,
+    power_many,
+    readonly,
     spectral_radius,
 )
-from .sets import DEFAULT_CAP, IRUSet, MatrixSet, convex_hull_sample
+from .sets import DEFAULT_CAP, IRUSet, MatrixSet, hull_combination
 
 #: Certificate residuals are accepted down to -CERTIFICATE_TOL.
 CERTIFICATE_TOL = 1e-9
@@ -75,36 +75,43 @@ class Certificate:
     conclusive: bool
 
 
-def _product_shapes(a_set: MatrixSet, b_set: MatrixSet) -> None:
-    if a_set.shape[1] != b_set.shape[0] or a_set.shape[0] != b_set.shape[1]:
+def product_table(
+    stack_a: np.ndarray,
+    stack_b: np.ndarray,
+    cap: int = DEFAULT_CAP,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral radii of all pairwise products of two member stacks.
+
+    Returns (table, converged) where table[i, j] is rho(A_i B_j) and
+    converged[i, j] its power-iteration flag.  The A stack has shape
+    (ka, n, m) and the B stack (kb, m, n); ka * kb must stay within ``cap``.
+    """
+    if stack_a.shape[2] != stack_b.shape[1] or stack_a.shape[1] != stack_b.shape[2]:
         raise ShapeError(
             f"need A sets of shape (n, m) and B sets of shape (m, n), "
-            f"got {a_set.shape} and {b_set.shape}"
+            f"got {stack_a.shape[1:]} and {stack_b.shape[1:]}"
         )
-
-
-def _table_data(
-    a_set: MatrixSet,
-    b_set: MatrixSet,
-    cap: int,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral radii of all pairwise products plus the member stacks.
-
-    Returns (table, converged, a_members, b_members) where table[i, j] is
-    rho(A_i B_j).
-    """
-    _product_shapes(a_set, b_set)
-    arr_a = a_set._array(cap)
-    arr_b = b_set._array(cap)
-    ka, kb = len(arr_a), len(arr_b)
+    ka, kb, n = len(stack_a), len(stack_b), stack_a.shape[1]
     if ka * kb > cap:
         raise CapExceededError(ka * kb, cap)
-    products = np.einsum("aij,bjk->abik", arr_a, arr_b)
-    n = a_set.shape[0]
-    rho, _, _, conv = _power_many(products.reshape(ka * kb, n, n), tol, max_iter)
-    return rho.reshape(ka, kb), conv.reshape(ka, kb), arr_a, arr_b
+    products = np.einsum("aij,bjk->abik", stack_a, stack_b)
+    rho, _, _, conv = power_many(products.reshape(ka * kb, n, n), tol, max_iter)
+    return rho.reshape(ka, kb), conv.reshape(ka, kb)
+
+
+def reduce_table(table: np.ndarray) -> tuple[float, float, int, int]:
+    """Min-max, max-min and the candidate saddle cell of a product table.
+
+    Returns (minmax, maxmin, i, j): minmax = min_A max_B, column j maximizes
+    the column minimum (so maxmin = table[i, j]) and row i minimizes that
+    column; ties break to the earliest index.
+    """
+    col_min = table.min(axis=0)
+    j = int(col_min.argmax())
+    i = int(table[:, j].argmin())
+    return float(table.max(axis=1).min()), float(col_min[j]), i, j
 
 
 def minimax_table(
@@ -119,38 +126,44 @@ def minimax_table(
     Row reductions give min-max, column reductions max-min; the product of
     the two cardinalities must stay within ``cap``.
     """
-    table, _, _, _ = _table_data(a_set, b_set, cap, tol, max_iter)
-    return _readonly(table)
+    table, _ = product_table(a_set.stack(cap), b_set.stack(cap), cap, tol, max_iter)
+    return readonly(table)
+
+
+def _radii(fixed: Matrix, stack: np.ndarray, fixed_on_left: bool) -> np.ndarray:
+    """rho(fixed X), or rho(X fixed), for every X in the stack."""
+    if fixed_on_left:
+        return power_many(np.einsum("ij,kjl->kil", fixed.data, stack))[0]
+    return power_many(np.einsum("kij,jl->kil", stack, fixed.data))[0]
+
+
+def _best_response(
+    fixed: Matrix, mset: MatrixSet, cap: int, minimize: bool
+) -> tuple[Matrix, float]:
+    if mset.shape != fixed.shape[::-1]:
+        names = ("a_set", "b") if minimize else ("b_set", "a")
+        raise ShapeError(
+            f"{names[0]} members {mset.shape} do not pair with "
+            f"{names[1]} of shape {fixed.shape}"
+        )
+    members = mset.stack(cap)
+    rho = _radii(fixed, members, fixed_on_left=not minimize)
+    best = int(rho.argmin() if minimize else rho.argmax())
+    return Matrix(members[best]), float(rho[best])
 
 
 def best_response_min(
     b: Matrix, a_set: MatrixSet, cap: int = DEFAULT_CAP
 ) -> tuple[Matrix, float]:
     """Member of a_set minimizing rho(A b); earliest index wins ties."""
-    if a_set.shape[1] != b.rows or a_set.shape[0] != b.cols:
-        raise ShapeError(
-            f"a_set members {a_set.shape} do not pair with b of shape {b.shape}"
-        )
-    members = a_set._array(cap)
-    products = np.einsum("kij,jl->kil", members, b.data)
-    rho, _, _, _ = _power_many(products)
-    best = int(rho.argmin())
-    return Matrix(members[best]), float(rho[best])
+    return _best_response(b, a_set, cap, minimize=True)
 
 
 def best_response_max(
     a: Matrix, b_set: MatrixSet, cap: int = DEFAULT_CAP
 ) -> tuple[Matrix, float]:
     """Member of b_set maximizing rho(a B); earliest index wins ties."""
-    if b_set.shape[0] != a.cols or b_set.shape[1] != a.rows:
-        raise ShapeError(
-            f"b_set members {b_set.shape} do not pair with a of shape {a.shape}"
-        )
-    members = b_set._array(cap)
-    products = np.einsum("ij,kjl->kil", a.data, members)
-    rho, _, _, _ = _power_many(products)
-    best = int(rho.argmax())
-    return Matrix(members[best]), float(rho[best])
+    return _best_response(a, b_set, cap, minimize=False)
 
 
 def best_response_min_iru(
@@ -174,7 +187,7 @@ def best_response_min_iru(
     row_sets = a_set.row_sets
     current = np.stack([rs[0] for rs in row_sets])
     product = current @ b.data
-    rho_current = float(_power_many(product[None])[0][0])
+    rho_current = float(power_many(product[None])[0][0])
     for _ in range(max_rounds):
         changed = False
         for i, rs in enumerate(row_sets):
@@ -184,7 +197,7 @@ def best_response_min_iru(
                 product, (rs.shape[0],) + product.shape
             ).copy()
             candidates[:, i, :] = rs @ b.data
-            rho_c, _, _, _ = _power_many(candidates)
+            rho_c, _, _, _ = power_many(candidates)
             best = int(rho_c.argmin())
             if rho_c[best] < rho_current:
                 current = current.copy()
@@ -212,16 +225,13 @@ def solve_saddle(
     The dominant eigenvector v of a_tilde b_tilde and w = b_tilde v are
     attached for certification.
     """
-    table, _, arr_a, arr_b = _table_data(a_set, b_set, cap, tol, max_iter)
-    col_min = table.min(axis=0)
-    j = int(col_min.argmax())
-    i = int(table[:, j].argmin())
-    maxmin = float(col_min[j])
-    minmax = float(table.max(axis=1).min())
-    a_tilde = Matrix(arr_a[i])
-    b_tilde = Matrix(arr_b[j])
+    stack_a, stack_b = a_set.stack(cap), b_set.stack(cap)
+    table, _ = product_table(stack_a, stack_b, cap, tol, max_iter)
+    minmax, maxmin, i, j = reduce_table(table)
+    a_tilde = Matrix(stack_a[i])
+    b_tilde = Matrix(stack_b[j])
     perron = spectral_radius(mat_mul(a_tilde, b_tilde), tol=tol, max_iter=max_iter)
-    w = _readonly(b_tilde.data @ perron.vector)
+    w = readonly(b_tilde.data @ perron.vector)
     return SaddleResult(
         a_tilde=a_tilde,
         b_tilde=b_tilde,
@@ -250,8 +260,8 @@ def certify_saddle(
     """
     v = result.perron.vector
     w = result.w
-    members_a = a_set._array(cap)
-    members_b = b_set._array(cap)
+    members_a = a_set.stack(cap)
+    members_b = b_set.stack(cap)
     a_residual = float(
         (np.einsum("kij,j->ki", members_a, w) - result.value * v).min()
     )
@@ -285,21 +295,16 @@ def check_saddle_hull_samples(
         return True
     rng = np.random.default_rng(seed)
 
-    def draw(mset: MatrixSet) -> np.ndarray:
-        size = len(mset._array(cap))
+    def draw(stack: np.ndarray) -> np.ndarray:
         samples = []
         for _ in range(n):
-            r = int(rng.integers(1, min(4, size) + 1))
+            r = int(rng.integers(1, min(4, len(stack)) + 1))
             child_seed = int(rng.integers(0, 2 ** 63))
-            samples.append(convex_hull_sample(mset, r, child_seed, cap).data)
+            samples.append(hull_combination(stack, r, child_seed))
         return np.stack(samples)
 
-    b_samples = draw(b_set)
-    a_samples = draw(a_set)
-    rho_b, _, _, _ = _power_many(
-        np.einsum("ij,kjl->kil", result.a_tilde.data, b_samples)
-    )
-    rho_a, _, _, _ = _power_many(
-        np.einsum("kij,jl->kil", a_samples, result.b_tilde.data)
-    )
+    b_samples = draw(b_set.stack(cap))
+    a_samples = draw(a_set.stack(cap))
+    rho_b = _radii(result.a_tilde, b_samples, fixed_on_left=True)
+    rho_a = _radii(result.b_tilde, a_samples, fixed_on_left=False)
     return bool((rho_b <= result.value + tol).all() and (rho_a >= result.value - tol).all())

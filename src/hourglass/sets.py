@@ -16,7 +16,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import CapExceededError, ParseError, ShapeError
-from .linalg import Matrix, _readonly
+from .linalg import Matrix, readonly
 
 #: Default bound on the number of matrices any enumeration may materialize.
 DEFAULT_CAP = 10 ** 6
@@ -62,19 +62,27 @@ class MatrixSet(abc.ABC):
         """Common (rows, cols) of every member."""
 
     @abc.abstractmethod
-    def _array(self, cap: int) -> np.ndarray:
-        """Stacked member entries with shape (K, rows, cols)."""
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """Read-only member entries, shape (K, rows, cols), in enumeration order.
+
+        Raises :class:`CapExceededError` when K exceeds ``cap``.
+        """
 
     def members(self, cap: int = DEFAULT_CAP) -> list[Matrix]:
         """All members in enumeration order."""
-        return [Matrix(a) for a in self._array(cap)]
+        return [Matrix(a) for a in self.stack(cap)]
+
+
+def _check_cap(count: int, cap: int) -> None:
+    if count > cap:
+        raise CapExceededError(count, cap)
 
 
 class FiniteSet(MatrixSet):
     """Explicit list of members; duplicates are kept but flagged."""
 
     kind = "finite"
-    __slots__ = ("_elements",)
+    __slots__ = ("_stack",)
 
     def __init__(self, elements):
         elems = tuple(elements)
@@ -88,73 +96,53 @@ class FiniteSet(MatrixSet):
                     f"all members must share one shape: found "
                     f"{elems[0].rows}x{elems[0].cols} and {m.rows}x{m.cols}"
                 )
-        self._elements = elems
+        self._stack = readonly(np.stack([m.data for m in elems]))
+
+    @classmethod
+    def _of_stack(cls, stack: np.ndarray) -> "FiniteSet":
+        """Wrap an already validated read-only stack without copying it."""
+        mset = cls.__new__(cls)
+        mset._stack = stack
+        return mset
 
     @property
     def elements(self) -> tuple[Matrix, ...]:
-        return self._elements
+        return tuple(Matrix(a) for a in self._stack)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._elements[0].shape
+        return self._stack.shape[1:]
 
     @property
     def has_duplicates(self) -> bool:
-        arr = np.stack([m.data for m in self._elements])
-        return len(_dedup_indices(arr)) < len(self._elements)
+        return len(_dedup_indices(self._stack)) < len(self._stack)
 
-    def _array(self, cap: int) -> np.ndarray:
-        if len(self._elements) > cap:
-            raise CapExceededError(len(self._elements), cap)
-        return np.stack([m.data for m in self._elements])
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        _check_cap(len(self._stack), cap)
+        return self._stack
 
     def __len__(self) -> int:
-        return len(self._elements)
+        return len(self._stack)
 
     def __repr__(self) -> str:
         n, m = self.shape
-        return f"FiniteSet({len(self._elements)} matrices of shape {n}x{m})"
+        return f"{type(self).__name__}({len(self)} matrices of shape {n}x{m})"
 
 
-class LinearlyOrderedSet(MatrixSet):
+class LinearlyOrderedSet(FiniteSet):
     """Strictly increasing chain of positive matrices 0 < A1 < A2 < ..."""
 
     kind = "ordered"
-    __slots__ = ("_elements",)
+    __slots__ = ()
 
     def __init__(self, elements):
-        elems = tuple(elements)
-        if not elems:
-            raise ValueError("a linearly ordered set must be non-empty")
-        for m in elems:
-            if not isinstance(m, Matrix):
-                raise TypeError(f"expected Matrix elements, got {type(m).__name__}")
-            if m.shape != elems[0].shape:
-                raise ShapeError("all members must share one shape")
-        if not (elems[0].data > 0).all():
+        super().__init__(elements)
+        if not (self._stack[0] > 0).all():
             raise ValueError("the smallest member must be strictly positive")
-        for prev, cur in zip(elems, elems[1:]):
-            if not (cur.data > prev.data).all():
-                raise ValueError(
-                    "members must be strictly increasing entrywise in list order"
-                )
-        self._elements = elems
-
-    @property
-    def elements(self) -> tuple[Matrix, ...]:
-        return self._elements
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._elements[0].shape
-
-    def _array(self, cap: int) -> np.ndarray:
-        if len(self._elements) > cap:
-            raise CapExceededError(len(self._elements), cap)
-        return np.stack([m.data for m in self._elements])
-
-    def __len__(self) -> int:
-        return len(self._elements)
+        if not (self._stack[1:] > self._stack[:-1]).all():
+            raise ValueError(
+                "members must be strictly increasing entrywise in list order"
+            )
 
 
 class IRUSet(MatrixSet):
@@ -180,7 +168,7 @@ class IRUSet(MatrixSet):
                 raise ValueError(f"row set {i} has a non-finite entry")
             if (arr < 0).any():
                 raise ValueError(f"row set {i} has a negative entry")
-            sets.append(_readonly(arr))
+            sets.append(readonly(arr))
         if not sets:
             raise ValueError("an IRU set needs at least one row set")
         width = sets[0].shape[1]
@@ -206,20 +194,35 @@ class IRUSet(MatrixSet):
             card *= rs.shape[0]
         return card
 
-    def _array(self, cap: int) -> np.ndarray:
-        card = self.cardinality
-        if card > cap:
-            raise CapExceededError(card, cap)
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        _check_cap(self.cardinality, cap)
         sizes = [rs.shape[0] for rs in self._row_sets]
         grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
         choices = np.stack([g.reshape(-1) for g in grids], axis=1)
         rows = [rs[choices[:, i]] for i, rs in enumerate(self._row_sets)]
-        return np.stack(rows, axis=1)
+        return readonly(np.stack(rows, axis=1))
 
     def __repr__(self) -> str:
         sizes = tuple(rs.shape[0] for rs in self._row_sets)
         n, m = self.shape
         return f"IRUSet(shape {n}x{m}, row-set sizes {sizes})"
+
+
+def _pair_stacks(
+    left: "PolyExpr", right: "PolyExpr", cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    arr_l, arr_r = left.stack(cap), right.stack(cap)
+    _check_cap(len(arr_l) * len(arr_r), cap)
+    return arr_l, arr_r
+
+
+def _node_result(arr: np.ndarray, dedup: bool) -> np.ndarray:
+    """Validate a node's stack once and drop near-duplicates if asked."""
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite")
+    if dedup:
+        arr = arr[_dedup_indices(arr)]
+    return readonly(arr)
 
 
 class Leaf:
@@ -235,6 +238,10 @@ class Leaf:
     @property
     def shape(self) -> tuple[int, int]:
         return self.base.shape
+
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """The wrapped set's members, in its enumeration order."""
+        return self.base.stack(cap)
 
 
 class Sum:
@@ -253,6 +260,12 @@ class Sum:
     @property
     def shape(self) -> tuple[int, int]:
         return self.left.shape
+
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """Pairwise sums, left-major, deduplicated within DEDUP_TOL."""
+        arr_l, arr_r = _pair_stacks(self.left, self.right, cap)
+        sums = arr_l[:, None, :, :] + arr_r[None, :, :, :]
+        return _node_result(sums.reshape(-1, *self.shape), dedup=True)
 
 
 class Product:
@@ -273,6 +286,12 @@ class Product:
     def shape(self) -> tuple[int, int]:
         return (self.left.shape[0], self.right.shape[1])
 
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """Pairwise products, left-major, deduplicated within DEDUP_TOL."""
+        arr_l, arr_r = _pair_stacks(self.left, self.right, cap)
+        prods = np.einsum("aij,bjk->abik", arr_l, arr_r)
+        return _node_result(prods.reshape(-1, *self.shape), dedup=True)
+
 
 class Scale:
     """Positive scalar multiple of a sub-expression."""
@@ -290,6 +309,10 @@ class Scale:
     def shape(self) -> tuple[int, int]:
         return self.child.shape
 
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """Every member scaled by ``t``; the cardinality is preserved."""
+        return _node_result(self.t * self.child.stack(cap), dedup=False)
+
 
 PolyExpr = Union[Leaf, Sum, Product, Scale]
 
@@ -297,8 +320,8 @@ PolyExpr = Union[Leaf, Sum, Product, Scale]
 class ExprSet(MatrixSet):
     """Matrix set defined by a Minkowski-polynomial expression tree.
 
-    Evaluation is bottom-up and never distributes products over sums; the
-    two orders genuinely differ as sets.
+    Evaluation is bottom-up on member stacks and never distributes products
+    over sums; the two orders genuinely differ as sets.
     """
 
     kind = "expr"
@@ -317,58 +340,8 @@ class ExprSet(MatrixSet):
     def shape(self) -> tuple[int, int]:
         return self._expr.shape
 
-    def _array(self, cap: int) -> np.ndarray:
-        return eval_expr(self._expr, cap)._array(cap)
-
-
-def _finite_from_array(arr: np.ndarray, dedup: bool = True) -> FiniteSet:
-    if dedup:
-        arr = arr[_dedup_indices(arr)]
-    return FiniteSet([Matrix(a) for a in arr])
-
-
-def _check_pair_cap(ka: int, kb: int, cap: int) -> None:
-    if ka * kb > cap:
-        raise CapExceededError(ka * kb, cap)
-
-
-def enumerate_set(mset: MatrixSet, cap: int = DEFAULT_CAP) -> list[Matrix]:
-    """Materialize every member of the set, in enumeration order."""
-    return mset.members(cap)
-
-
-def minkowski_sum(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """{A + B : A in a, B in b}, deduplicated within DEDUP_TOL."""
-    if a.shape != b.shape:
-        raise ShapeError(
-            f"sum operands must share a shape, got {a.shape} and {b.shape}"
-        )
-    arr_a, arr_b = a._array(cap), b._array(cap)
-    _check_pair_cap(len(arr_a), len(arr_b), cap)
-    n, m = a.shape
-    sums = (arr_a[:, None, :, :] + arr_b[None, :, :, :]).reshape(-1, n, m)
-    return _finite_from_array(sums)
-
-
-def minkowski_product(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """{A B : A in a, B in b}, deduplicated within DEDUP_TOL."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(
-            f"product operands have mismatched inner dimensions: "
-            f"{a.shape} times {b.shape}"
-        )
-    arr_a, arr_b = a._array(cap), b._array(cap)
-    _check_pair_cap(len(arr_a), len(arr_b), cap)
-    prods = np.einsum("aij,bjk->abik", arr_a, arr_b)
-    return _finite_from_array(prods.reshape(-1, a.shape[0], b.shape[1]))
-
-
-def scale_set(t: float, a: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """{t A : A in a} for t > 0; the cardinality is preserved."""
-    t = float(t)
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError("scale factor must be a finite number > 0")
-    return _finite_from_array(t * a._array(cap), dedup=False)
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        return self._expr.stack(cap)
 
 
 def eval_expr(expr: PolyExpr, cap: int = DEFAULT_CAP) -> FiniteSet:
@@ -378,38 +351,59 @@ def eval_expr(expr: PolyExpr, cap: int = DEFAULT_CAP) -> FiniteSet:
     operands and applies the corresponding Minkowski operation, subject to
     the cardinality cap.
     """
-    if isinstance(expr, Leaf):
-        return _finite_from_array(expr.base._array(cap), dedup=False)
-    if isinstance(expr, Sum):
-        return minkowski_sum(eval_expr(expr.left, cap), eval_expr(expr.right, cap), cap)
-    if isinstance(expr, Product):
-        return minkowski_product(
-            eval_expr(expr.left, cap), eval_expr(expr.right, cap), cap
-        )
-    if isinstance(expr, Scale):
-        return scale_set(expr.t, eval_expr(expr.child, cap), cap)
-    raise TypeError(f"not a PolyExpr node: {type(expr).__name__}")
+    return FiniteSet._of_stack(ExprSet(expr).stack(cap))
+
+
+def minkowski_sum(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
+    """{A + B : A in a, B in b}, deduplicated within DEDUP_TOL."""
+    return eval_expr(Sum(Leaf(a), Leaf(b)), cap)
+
+
+def minkowski_product(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
+    """{A B : A in a, B in b}, deduplicated within DEDUP_TOL."""
+    return eval_expr(Product(Leaf(a), Leaf(b)), cap)
+
+
+def scale_set(t: float, a: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
+    """{t A : A in a} for t > 0; the cardinality is preserved."""
+    return eval_expr(Scale(t, Leaf(a)), cap)
 
 
 def transpose_set(a: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
     """Finite set of the transposes of every member, order preserved."""
-    return _finite_from_array(a._array(cap).transpose(0, 2, 1), dedup=False)
+    return FiniteSet._of_stack(a.stack(cap).transpose(0, 2, 1))
 
 
 def hausdorff_distance(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> float:
     """Hausdorff distance under the entrywise max norm.
 
     The larger of the two directed distances max over one set of the min
-    over the other of ||X - Y||_inf (on vectorized matrices).
+    over the other of ||X - Y||_inf (on vectorized matrices).  The number
+    of member pairs compared must stay within ``cap``.
     """
     if a.shape != b.shape:
         raise ShapeError(
             f"sets must share a shape, got {a.shape} and {b.shape}"
         )
-    va = a._array(cap).reshape(-1, a.shape[0] * a.shape[1])
-    vb = b._array(cap).reshape(-1, b.shape[0] * b.shape[1])
+    va = a.stack(cap).reshape(-1, a.shape[0] * a.shape[1])
+    vb = b.stack(cap).reshape(-1, b.shape[0] * b.shape[1])
+    _check_cap(len(va) * len(vb), cap)
     dists = np.abs(va[:, None, :] - vb[None, :, :]).max(axis=2)
     return float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
+
+
+def hull_combination(stack: np.ndarray, r: int, rng_seed: int) -> np.ndarray:
+    """Random convex combination of ``r >= 1`` rows of a member stack.
+
+    Members are drawn with replacement and weighted by normalized
+    exponentials (uniform on the simplex).  Fixed seeds reproduce the draw
+    exactly.
+    """
+    rng = np.random.default_rng(rng_seed)
+    picks = rng.integers(0, stack.shape[0], size=r)
+    weights = rng.exponential(1.0, size=r)
+    weights /= weights.sum()
+    return np.einsum("k,kij->ij", weights, stack[picks])
 
 
 def convex_hull_sample(
@@ -417,18 +411,12 @@ def convex_hull_sample(
 ) -> Matrix:
     """Random convex combination of ``r`` members drawn with replacement.
 
-    Weights are normalized exponentials (uniform on the simplex), so the
-    result lies in the convex hull of the set.  Fixed seeds reproduce the
-    draw exactly.
+    The result lies in the convex hull of the set; see
+    :func:`hull_combination` for the draw.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    arr = mset._array(cap)
-    rng = np.random.default_rng(rng_seed)
-    picks = rng.integers(0, arr.shape[0], size=r)
-    weights = rng.exponential(1.0, size=r)
-    weights /= weights.sum()
-    return Matrix(np.einsum("k,kij->ij", weights, arr[picks]))
+    return Matrix(hull_combination(mset.stack(cap), r, rng_seed))
 
 
 def _extreme_rows_1d(rows: np.ndarray) -> np.ndarray:
@@ -509,7 +497,7 @@ def random_iru_set(
 
 def set_to_json(mset: MatrixSet) -> dict:
     """Wire form of a set; inverse of :func:`set_from_json`."""
-    if isinstance(mset, (FiniteSet, LinearlyOrderedSet)):
+    if isinstance(mset, FiniteSet):
         return {
             "kind": mset.kind,
             "matrices": [m.to_json() for m in mset.elements],

@@ -3,13 +3,14 @@ determinism, and the JSON wire formats."""
 
 import json
 
+import numpy as np
 import pytest
 
 from hourglass.cli import main
 
 from helpers import ex4_set
 
-from hourglass import set_to_json
+from hourglass import ExprSet, FiniteSet, Leaf, Matrix, Scale, set_to_json
 
 
 @pytest.fixture
@@ -225,3 +226,30 @@ def test_non_convergence_exit_code(tmp_path, capsys):
     assert code == 3
     assert report["converged"] is False
     assert report["error"]["kind"] == "non-convergence"
+
+
+def test_hausdorff_pair_cap_is_an_input_error(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    paths = []
+    for name in ("a.json", "b.json"):
+        p = tmp_path / name
+        p.write_text(json.dumps(set_to_json(FiniteSet(
+            [Matrix(m) for m in rng.uniform(size=(39, 2, 2))]
+        ))))
+        paths.append(str(p))
+    code, report = run_cli(capsys, "hausdorff", *paths, "--cap", "100")
+    assert code == 2
+    assert report["error"]["kind"] == "input"
+    assert "1521" in report["error"]["message"]
+
+
+def test_algebra_overflow_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "overflow.json"
+    overflow = ExprSet(Scale(1e300, Leaf(FiniteSet([Matrix([[1e10]])]))))
+    p.write_text(json.dumps(set_to_json(overflow)))
+    with np.errstate(over="ignore"):
+        code, report = run_cli(capsys, "algebra", str(p))
+    assert code == 2
+    assert report["error"] == {
+        "kind": "input", "message": "matrix entries must be finite"
+    }

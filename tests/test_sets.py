@@ -20,7 +20,6 @@ from hourglass import (
     Sum,
     convex_hull_iru,
     convex_hull_sample,
-    enumerate_set,
     eval_expr,
     hausdorff_distance,
     minkowski_product,
@@ -73,7 +72,7 @@ def test_linearly_ordered_set_rejects_unordered():
 def test_iru_cardinality_and_enumeration_order():
     iru = IRUSet([[[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]])
     assert iru.cardinality == 6
-    members = enumerate_set(iru)
+    members = iru.members()
     assert len(members) == 6
     # row-major: the last row set cycles fastest
     assert members[0] == Matrix([[1.0, 0.0], [0.0, 1.0]])
@@ -94,13 +93,13 @@ def test_iru_rejects_negative_rows():
 def test_enumerate_cap_reports_cardinality():
     iru = IRUSet([np.ones((10, 2))] * 6)
     with pytest.raises(CapExceededError) as err:
-        enumerate_set(iru, cap=1000)
+        iru.members(cap=1000)
     assert err.value.cardinality == 10 ** 6
     assert err.value.cap == 1000
 
 
 def test_example4_enumerates_two_members(ex4):
-    assert len(enumerate_set(ex4)) == 2
+    assert len(ex4.members()) == 2
 
 
 # --- Minkowski operations ------------------------------------------------------
@@ -233,7 +232,7 @@ def test_products_do_not_distribute_over_sums(ex4):
 def test_expr_set_enumerates_through_the_tree(ex4):
     expr = ExprSet(Sum(Leaf(ex4), Leaf(ex4)))
     assert expr.shape == (2, 2)
-    assert len(enumerate_set(expr)) == 3
+    assert len(expr.members()) == 3
 
 
 def test_eval_expr_cap_applies_at_nodes():
@@ -400,7 +399,7 @@ def test_set_json_roundtrip(kind, ex4):
     back = set_from_json(wire)
     assert set_to_json(back) == set_to_json(mset)
     assert sets_equal(
-        FiniteSet(enumerate_set(back)), FiniteSet(enumerate_set(mset))
+        FiniteSet(back.members()), FiniteSet(mset.members())
     )
 
 
@@ -429,3 +428,71 @@ def test_expr_json_rejects_bad_scale():
     }
     with pytest.raises(ParseError):
         set_from_json(wire)
+
+
+# --- member stacks ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["finite", "ordered", "iru", "expr"])
+def test_stack_is_read_only_and_matches_members(kind, ex4):
+    a = Matrix([[1.0, 2.0], [3.0, 4.0]])
+    mset = {
+        "finite": ex4,
+        "ordered": LinearlyOrderedSet([a, Matrix(2 * a.data)]),
+        "iru": IRUSet([[[1.0, 0.5]], [[0.25, 2.0], [1.0, 1.0]]]),
+        "expr": ExprSet(Sum(Leaf(ex4), Leaf(ex4))),
+    }[kind]
+    stack = mset.stack()
+    assert stack.shape == (len(mset.members()),) + mset.shape
+    assert not stack.flags.writeable
+    assert [Matrix(x) for x in stack] == mset.members()
+    with pytest.raises(CapExceededError):
+        mset.stack(cap=len(stack) - 1)
+
+
+def test_expr_stack_rejects_overflow():
+    big = ExprSet(Scale(1e300, Leaf(FiniteSet([Matrix([[1e10]])]))))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        big.stack()
+
+
+# --- DEDUP_TOL semantics of Minkowski results ---------------------------------------
+
+
+def _scalars(values) -> FiniteSet:
+    return FiniteSet([Matrix([[float(v)]]) for v in values])
+
+
+def test_dedup_keeps_first_occurrence_in_left_major_order():
+    # Sums in left-major order: 1+5e-13, 0, 2+5e-13, 1.  The last one lies
+    # within DEDUP_TOL of the first and merges into it.
+    out = minkowski_sum(_scalars([0.0, 1.0]), _scalars([1.0 + 5e-13, 0.0]))
+    assert out.stack()[:, 0, 0].tolist() == [1.0 + 5e-13, 0.0, 2.0 + 5e-13]
+
+
+def test_dedup_merges_within_tol_up_to_the_pairwise_limit():
+    # Each a + 5e-13 merges into a; a + 0 twice is an exact duplicate.
+    base = 1e-3 * np.arange(4096)
+    out = minkowski_sum(_scalars(base), _scalars([0.0, 5e-13, 0.0]))
+    assert out.stack()[:, 0, 0].tolist() == base.tolist()
+
+
+def test_dedup_merges_only_exact_duplicates_past_the_limit():
+    # Once 4,097 members are kept, a + 5e-13 no longer merges into a, but
+    # the exact duplicate a + 0 still does.
+    base = 1e-3 * np.arange(4098)
+    out = minkowski_sum(_scalars(base), _scalars([0.0, 5e-13, 0.0]))
+    values = out.stack()[:, 0, 0]
+    assert len(values) == 4100
+    assert values[:4096].tolist() == base[:4096].tolist()
+    assert values[4096:].tolist() == [
+        base[4096], base[4096] + 5e-13, base[4097], base[4097] + 5e-13
+    ]
+
+
+def test_hausdorff_checks_the_pair_cap(rng):
+    a = random_finite_set(rng, 2, 2, 39)
+    b = random_finite_set(rng, 2, 2, 39)
+    with pytest.raises(CapExceededError) as err:
+        hausdorff_distance(a, b, cap=100)
+    assert err.value.cardinality == 39 * 39
