@@ -4,9 +4,9 @@ structured compact sets of non-negative matrices.
 The package bundles dense non-negative matrix kernels (shifted power
 iteration, Collatz-Wielandt bounds), a Minkowski set algebra with
 independent-row-uncertainty sets and polynomial set expressions, the
-two-sided image alternative checks, an exhaustive saddle solver with
-eigenvector certificates valid over convex hulls, and a JSON command-line
-interface.
+two-sided image alternative checks, an exhaustive saddle solver (and a
+structured one for IRU pairs that never enumerates) with eigenvector
+certificates valid over convex hulls, and a JSON command-line interface.
 """
 
 from .alternative import (
@@ -32,11 +32,12 @@ from .saddle import (
     SaddleResult,
     best_response_max,
     best_response_min,
-    best_response_min_iru,
+    best_response_rows,
     certify_saddle,
     check_saddle_hull_samples,
     minimax_table,
     solve_saddle,
+    solve_saddle_iru,
 )
 from .sets import (
     DEDUP_TOL,
@@ -92,7 +93,7 @@ __all__ = [
     "Sum",
     "best_response_max",
     "best_response_min",
-    "best_response_min_iru",
+    "best_response_rows",
     "certify_saddle",
     "check_hourglass_at",
     "check_hset_sampled",
@@ -112,6 +113,7 @@ __all__ = [
     "set_from_json",
     "set_to_json",
     "solve_saddle",
+    "solve_saddle_iru",
     "spectral_radius",
     "transpose_set",
 ]

@@ -29,9 +29,11 @@ from .saddle import (
     product_table,
     reduce_table,
     solve_saddle,
+    solve_saddle_iru,
 )
 from .sets import (
     DEFAULT_CAP,
+    IRUSet,
     MatrixSet,
     hausdorff_distance,
     random_iru_set,
@@ -128,7 +130,11 @@ def _cmd_minimax(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_saddle(args: argparse.Namespace) -> tuple[int, dict]:
     a_set = _load_set(args.a_set)
     b_set = _load_set(args.b_set)
-    result = solve_saddle(a_set, b_set, cap=args.cap)
+    result = None
+    if isinstance(a_set, IRUSet) and isinstance(b_set, IRUSet):
+        result = solve_saddle_iru(a_set, b_set)
+    if result is None:
+        result = solve_saddle(a_set, b_set, cap=args.cap)
     report = {
         "a_tilde": result.a_tilde.to_json(),
         "b_tilde": result.b_tilde.to_json(),

@@ -9,6 +9,14 @@ of both sets, and the eigenvector certificate below verifies exactly that:
 with v the dominant eigenvector of a_tilde b_tilde and w = b_tilde v, the
 vertex inequalities  value*v <= A w  and  w >= B v  are affine in the
 varying matrix, so non-negative vertex residuals extend to the whole hulls.
+
+For independent-row-uncertainty (IRU) sets both inequalities split into
+one check per row, so the structured solver never enumerates: each player's
+exact best response is found by greedy row selection (Nesterov & Protasov,
+"Optimizing the spectral radius", SIAM J. Matrix Anal. Appl. 2013;
+Cvetkovic & Protasov, "The greedy strategy for optimizing the Perron
+eigenvalue", Math. Program. 2022), and the row-wise certificate decides
+whether the pair it settles on is a saddle.
 """
 
 from __future__ import annotations
@@ -37,14 +45,22 @@ CERTIFICATE_TOL = 1e-9
 # count as zero; the certificate is then inconclusive rather than failed.
 _POSITIVE_VECTOR_TOL = 1e-12
 
+#: Bound on the greedy passes of one IRU best response and on the
+#: alternating rounds of :func:`solve_saddle_iru`.  On positive sets both
+#: settle in a few steps; greedy minimization can cycle when zero rows make
+#: the Perron vector degenerate, and hitting the bound then gives up.
+IRU_MAX_ROUNDS = 100
+
 
 @dataclass(frozen=True, eq=False)
 class SaddleResult:
-    """Candidate saddle pair with the exhaustive min-max data.
+    """Candidate saddle pair with its min-max data.
 
     ``value`` is rho(a_tilde b_tilde); ``w`` is b_tilde applied to the
-    dominant eigenvector of the product.  ``gap = minmax - maxmin`` is
-    non-negative and zero exactly when the table has a saddle.
+    dominant eigenvector of the product.  From the exhaustive table,
+    ``gap = minmax - maxmin`` is non-negative and zero exactly when the
+    table has a saddle; from :func:`solve_saddle_iru` the pair is a
+    certified saddle, so minmax = maxmin = value and gap = 0.0.
     """
 
     a_tilde: Matrix
@@ -62,7 +78,7 @@ class Certificate:
     """Vertex residuals of the two saddle inequalities.
 
     ``a_residual`` is the worst slack of  A w >= value*v  over the
-    enumerated members A; ``b_residual`` the worst slack of  w >= B v.
+    members A; ``b_residual`` the worst slack of  w >= B v.
     Both inequalities are affine in the varying matrix, so vertex validity
     certifies the full convex hulls.  ``conclusive`` is False when the
     eigenvector had a (numerically) zero coordinate or the power iteration
@@ -73,6 +89,14 @@ class Certificate:
     b_residual: float
     valid: bool
     conclusive: bool
+
+
+def _check_pairing(shape_a: tuple[int, ...], shape_b: tuple[int, ...]) -> None:
+    if tuple(shape_a) != tuple(shape_b)[::-1]:
+        raise ShapeError(
+            f"need A sets of shape (n, m) and B sets of shape (m, n), "
+            f"got {tuple(shape_a)} and {tuple(shape_b)}"
+        )
 
 
 def product_table(
@@ -88,11 +112,7 @@ def product_table(
     converged[i, j] its power-iteration flag.  The A stack has shape
     (ka, n, m) and the B stack (kb, m, n); ka * kb must stay within ``cap``.
     """
-    if stack_a.shape[2] != stack_b.shape[1] or stack_a.shape[1] != stack_b.shape[2]:
-        raise ShapeError(
-            f"need A sets of shape (n, m) and B sets of shape (m, n), "
-            f"got {stack_a.shape[1:]} and {stack_b.shape[1:]}"
-        )
+    _check_pairing(stack_a.shape[1:], stack_b.shape[1:])
     ka, kb, n = len(stack_a), len(stack_b), stack_a.shape[1]
     if ka * kb > cap:
         raise CapExceededError(ka * kb, cap)
@@ -166,48 +186,80 @@ def best_response_max(
     return _best_response(a, b_set, cap, minimize=False)
 
 
-def best_response_min_iru(
-    b: Matrix, a_set: IRUSet, max_rounds: int = 100
-) -> tuple[Matrix, float]:
-    """Row-improvement heuristic for the minimizing best response.
+def _row_images(row_sets: tuple[np.ndarray, ...], x: np.ndarray) -> list[np.ndarray]:
+    """r . x for every row r of every row set."""
+    return [np.einsum("rj,j->r", rs, x) for rs in row_sets]
 
-    Starts from the first row choice of every row set and repeatedly swaps
-    in, one row at a time, the candidate row that strictly lowers
-    rho(A b) (always evaluated exactly), until a full pass changes nothing
-    or ``max_rounds`` passes are exhausted.  The result never exceeds the
-    starting spectral radius but is not guaranteed globally minimal; use
-    :func:`best_response_min` when exactness is required.
+
+def _assemble(row_sets: tuple[np.ndarray, ...], picks: list[int]) -> np.ndarray:
+    return np.stack([rs[k] for rs, k in zip(row_sets, picks)])
+
+
+def _greedy_rows(
+    fixed: np.ndarray,
+    row_sets: tuple[np.ndarray, ...],
+    picks: list[int],
+    minimize: bool,
+    tol: float,
+    max_iter: int,
+) -> tuple[list[int], np.ndarray, PerronData] | None:
+    """Greedy row selection for rho(X fixed) (minimize) or rho(fixed X).
+
+    X takes row ``picks[i]`` of row set i.  With v the Perron vector of the
+    product, every row moves to the earliest row of its set minimizing
+    r . (fixed v), or maximizing r . v, until no pick changes.  The product
+    of the settled X with any member X' then satisfies the Collatz-Wielandt
+    inequality that orders their spectral radii, so for v > 0 the settled X
+    is an exact best response.  Returns (picks, X, Perron data of the
+    product), or None when the picks do not settle in IRU_MAX_ROUNDS passes
+    or a power iteration does not converge: its vector gives no valid step,
+    and each such iteration runs the full ``max_iter``.
     """
-    if not isinstance(a_set, IRUSet):
-        raise TypeError("best_response_min_iru expects an IRU set")
-    if a_set.shape[1] != b.rows or a_set.shape[0] != b.cols:
+    for _ in range(IRU_MAX_ROUNDS):
+        x = _assemble(row_sets, picks)
+        product = x @ fixed if minimize else fixed @ x
+        perron = spectral_radius(Matrix(product), tol=tol, max_iter=max_iter)
+        if not perron.converged:
+            return None
+        target = fixed @ perron.vector if minimize else perron.vector
+        images = _row_images(row_sets, target)
+        settled = [int(r.argmin() if minimize else r.argmax()) for r in images]
+        if settled == picks:
+            return picks, x, perron
+        picks = settled
+    return None
+
+
+def best_response_rows(
+    fixed: Matrix,
+    iru_set: IRUSet,
+    minimize: bool,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> tuple[Matrix, float] | None:
+    """Exact best response over an IRU set without enumerating it.
+
+    With ``minimize`` the member A of ``iru_set`` minimizing rho(A fixed),
+    otherwise the member B maximizing rho(fixed B), found by greedy row
+    selection from the first row of every row set; ties break to the
+    earliest row of each row set.  Exact when the Perron vector of the
+    settled product is strictly positive (always, for positive sets);
+    None when the greedy passes do not settle or a power iteration does
+    not converge.
+    """
+    if not isinstance(iru_set, IRUSet):
+        raise TypeError("best_response_rows expects an IRU set")
+    if iru_set.shape != fixed.shape[::-1]:
         raise ShapeError(
-            f"a_set members {a_set.shape} do not pair with b of shape {b.shape}"
+            f"IRU members {iru_set.shape} do not pair with a fixed matrix "
+            f"of shape {fixed.shape}"
         )
-    row_sets = a_set.row_sets
-    current = np.stack([rs[0] for rs in row_sets])
-    product = current @ b.data
-    rho_current = float(power_many(product[None])[0][0])
-    for _ in range(max_rounds):
-        changed = False
-        for i, rs in enumerate(row_sets):
-            if rs.shape[0] == 1:
-                continue
-            candidates = np.broadcast_to(
-                product, (rs.shape[0],) + product.shape
-            ).copy()
-            candidates[:, i, :] = rs @ b.data
-            rho_c, _, _, _ = power_many(candidates)
-            best = int(rho_c.argmin())
-            if rho_c[best] < rho_current:
-                current = current.copy()
-                current[i] = rs[best]
-                product = candidates[best]
-                rho_current = float(rho_c[best])
-                changed = True
-        if not changed:
-            break
-    return Matrix(current), rho_current
+    start = [0] * len(iru_set.row_sets)
+    found = _greedy_rows(fixed.data, iru_set.row_sets, start, minimize, tol, max_iter)
+    if found is None:
+        return None
+    _, x, perron = found
+    return Matrix(x), perron.rho
 
 
 def solve_saddle(
@@ -244,6 +296,73 @@ def solve_saddle(
     )
 
 
+def solve_saddle_iru(
+    a_set: IRUSet,
+    b_set: IRUSet,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+) -> SaddleResult | None:
+    """Saddle of two IRU sets by alternating greedy best responses.
+
+    Enumerates neither set, so the cost follows the row-set sizes, not the
+    cardinalities.  Starting from the first row of every row set, A answers
+    b_tilde exactly by greedy row selection, then B answers a_tilde, and
+    the rounds repeat until B's answer stays put; ties break to the earliest
+    row of each row set.  The settled pair is returned only when
+    :func:`certify_saddle` accepts it: it is then a saddle over both convex
+    hulls, so minmax = maxmin = value and gap = 0.0.  Otherwise (a Perron
+    vector with a zero coordinate, non-convergence, or no settling within
+    IRU_MAX_ROUNDS rounds) the result is None, and :func:`solve_saddle`
+    remains the exhaustive answer.
+    """
+    if not (isinstance(a_set, IRUSet) and isinstance(b_set, IRUSet)):
+        raise TypeError("solve_saddle_iru expects two IRU sets")
+    _check_pairing(a_set.shape, b_set.shape)
+    picks_a = [0] * len(a_set.row_sets)
+    picks_b = [0] * len(b_set.row_sets)
+    b = _assemble(b_set.row_sets, picks_b)
+    for _ in range(IRU_MAX_ROUNDS):
+        found = _greedy_rows(b, a_set.row_sets, picks_a, True, tol, max_iter)
+        if found is None:
+            return None
+        picks_a, a, _ = found
+        found = _greedy_rows(a, b_set.row_sets, picks_b, False, tol, max_iter)
+        if found is None:
+            return None
+        settled = found[0] == picks_b
+        picks_b, b, perron = found
+        if settled:
+            break
+    else:
+        return None
+    b_tilde = Matrix(b)
+    result = SaddleResult(
+        a_tilde=Matrix(a),
+        b_tilde=b_tilde,
+        value=perron.rho,
+        perron=perron,
+        w=readonly(b_tilde.data @ perron.vector),
+        minmax=perron.rho,
+        maxmin=perron.rho,
+        gap=0.0,
+    )
+    return result if certify_saddle(result, a_set, b_set).valid else None
+
+
+def _row_extreme(mset: MatrixSet, x: np.ndarray, cap: int, minimize: bool) -> np.ndarray:
+    """Entrywise min (or max) of M x over the members M of a set.
+
+    Row i of an IRU member ranges over row set i alone, so only the rows
+    are scanned; other sets are enumerated.  Both paths form each entry of
+    M x with the same einsum reduction, so they agree bit for bit.
+    """
+    if isinstance(mset, IRUSet):
+        images = _row_images(mset.row_sets, x)
+        return np.array([r.min() if minimize else r.max() for r in images])
+    images = np.einsum("kij,j->ki", mset.stack(cap), x)
+    return images.min(axis=0) if minimize else images.max(axis=0)
+
+
 def certify_saddle(
     result: SaddleResult,
     a_set: MatrixSet,
@@ -256,16 +375,13 @@ def certify_saddle(
     Requires the dominant eigenvector of a_tilde b_tilde to be strictly
     positive (and converged); otherwise the certificate is reported as
     inconclusive, never as failed, since the inequalities are only derived
-    under positivity.
+    under positivity.  An IRU set is checked row by row, at a cost of its
+    total row count rather than its cardinality, and never against ``cap``.
     """
     v = result.perron.vector
     w = result.w
-    members_a = a_set.stack(cap)
-    members_b = b_set.stack(cap)
-    a_residual = float(
-        (np.einsum("kij,j->ki", members_a, w) - result.value * v).min()
-    )
-    b_residual = float((w - np.einsum("kij,j->ki", members_b, v)).min())
+    a_residual = float((_row_extreme(a_set, w, cap, minimize=True) - result.value * v).min())
+    b_residual = float((w - _row_extreme(b_set, v, cap, minimize=False)).min())
     conclusive = bool(v.min() > _POSITIVE_VECTOR_TOL) and result.perron.converged
     valid = conclusive and a_residual >= -tol and b_residual >= -tol
     return Certificate(

@@ -253,3 +253,38 @@ def test_algebra_overflow_is_an_input_error(tmp_path, capsys):
     assert report["error"] == {
         "kind": "input", "message": "matrix entries must be finite"
     }
+
+
+def test_iru_saddle_falls_back_to_the_exhaustive_report(tmp_path, capsys):
+    # A zero row of A leaves a zero in the Perron vector, so the structured
+    # solver declines; the report must then be exactly the one the
+    # exhaustive path gives for the same members listed as a finite set.
+    from hourglass import IRUSet, solve_saddle_iru
+
+    a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
+    b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
+    assert solve_saddle_iru(a, b) is None
+    reports = []
+    for tag, sets in (("iru", (a, b)), ("finite", [FiniteSet(s.members()) for s in (a, b)])):
+        paths = []
+        for name, mset in zip("ab", sets):
+            p = tmp_path / f"{tag}_{name}.json"
+            p.write_text(json.dumps(set_to_json(mset)))
+            paths.append(str(p))
+        code = main(["saddle", *paths, "--certify", "--hull-samples", "20", "--seed", "3"])
+        reports.append((code, capsys.readouterr().out))
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][1])["certificate"]["conclusive"] is False
+
+
+def test_iru_saddle_ignores_the_cap_until_it_enumerates(files, capsys):
+    pair = (files["iru_a.json"], files["iru_b.json"])
+    code, report = run_cli(capsys, "saddle", *pair, "--certify", "--cap", "1")
+    assert code == 0
+    assert report["certificate"]["valid"] is True
+    assert report["gap"] == 0.0
+    # hull samples enumerate, so the cap still binds there (and on the
+    # minimax table, see test_cap_exceeded_is_an_input_error)
+    code, report = run_cli(capsys, "saddle", *pair, "--hull-samples", "5", "--cap", "1")
+    assert code == 2
+    assert "cap" in report["error"]["message"]

@@ -11,7 +11,7 @@ from hourglass import (
     ShapeError,
     best_response_max,
     best_response_min,
-    best_response_min_iru,
+    best_response_rows,
     certify_saddle,
     check_saddle_hull_samples,
     convex_hull_sample,
@@ -19,6 +19,7 @@ from hourglass import (
     minimax_table,
     random_iru_set,
     solve_saddle,
+    solve_saddle_iru,
     spectral_radius,
     transpose_set,
 )
@@ -79,37 +80,38 @@ def test_best_response_shape_checks(ex4):
         best_response_max(Matrix(np.ones((3, 2))), ex4)
 
 
-def test_best_response_min_iru_singleton_rows():
+def test_best_response_rows_match_enumeration(rng):
+    # greedy row selection is exact on positive IRU sets: the same member
+    # as the enumerating best responses, and the same radius
+    for _ in range(30):
+        n, m = (int(x) for x in rng.integers(2, 5, size=2))
+        iru_a = random_iru_set(rng, n, m, 3)
+        iru_b = random_iru_set(rng, m, n, 3)
+        b = Matrix(rng.uniform(0.05, 1.0, size=(m, n)))
+        a = Matrix(rng.uniform(0.05, 1.0, size=(n, m)))
+        for fixed, iru, minimize, oracle in (
+            (b, iru_a, True, best_response_min),
+            (a, iru_b, False, best_response_max),
+        ):
+            chosen, rho = best_response_rows(fixed, iru, minimize)
+            expected, rho_expected = oracle(fixed, iru)
+            assert chosen == expected
+            assert abs(rho - rho_expected) <= 1e-12 * max(1.0, rho_expected)
+
+
+def test_best_response_rows_singleton_rows():
     iru = IRUSet([[[1.0, 2.0]], [[3.0, 4.0]]])
-    chosen, rho = best_response_min_iru(diag(1.0, 1.0), iru)
-    assert chosen == Matrix([[1.0, 2.0], [3.0, 4.0]])
+    for minimize in (True, False):
+        chosen, rho = best_response_rows(diag(1.0, 1.0), iru, minimize)
+        assert chosen == Matrix([[1.0, 2.0], [3.0, 4.0]])
+        assert rho == spectral_radius(chosen).rho
 
 
-def test_best_response_min_iru_zero_rounds_returns_start(rng):
-    iru = random_iru_set(rng, 3, 3, 3)
-    start = Matrix(np.stack([rs[0] for rs in iru.row_sets]))
-    b = Matrix(rng.uniform(0.1, 1.0, size=(3, 3)))
-    chosen, rho = best_response_min_iru(b, iru, max_rounds=0)
-    assert chosen == start
-    assert rho == spectral_radius(mat_mul(start, b)).rho
-
-
-def test_best_response_min_iru_never_beats_oracle(rng):
-    matches = 0
-    trials = 15
-    for _ in range(trials):
-        iru = random_iru_set(rng, 3, 3, 3)
-        b = Matrix(rng.uniform(0.1, 1.0, size=(3, 3)))
-        _, heuristic = best_response_min_iru(b, iru)
-        _, exact = best_response_min(b, iru)
-        assert heuristic >= exact - 1e-9
-        matches += heuristic <= exact + 1e-9
-    assert matches >= trials // 2  # greedy row swaps usually land the optimum
-
-
-def test_best_response_min_iru_requires_iru(ex4):
+def test_best_response_rows_requires_iru_and_pairing(ex4):
     with pytest.raises(TypeError):
-        best_response_min_iru(diag(1.0, 1.0), ex4)
+        best_response_rows(diag(1.0, 1.0), ex4, True)
+    with pytest.raises(ShapeError):
+        best_response_rows(Matrix(np.ones((3, 2))), IRUSet([[[1.0, 2.0]]] * 2), True)
 
 
 # --- minimax tables --------------------------------------------------------------
@@ -225,6 +227,60 @@ def test_solve_saddle_value_stable_under_hull_supersets(rng):
         )
         augmented = solve_saddle(a_aug, b_aug)
         assert abs(base.value - augmented.value) <= 1e-9
+
+
+def test_solve_saddle_iru_matches_exhaustive_oracle():
+    rng = np.random.default_rng(20130101)
+    for _ in range(300):
+        n, m = (int(x) for x in rng.integers(2, 5, size=2))
+        a = random_iru_set(rng, n, m, 3)
+        b = random_iru_set(rng, m, n, 3)
+        result = solve_saddle_iru(a, b)
+        oracle = solve_saddle(a, b)
+        assert result is not None
+        assert result.a_tilde == oracle.a_tilde
+        assert result.b_tilde == oracle.b_tilde
+        for key in ("value", "minmax", "maxmin"):
+            got, want = getattr(result, key), getattr(oracle, key)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        assert result.gap == 0.0
+        assert certify_saddle(result, a, b).valid
+
+
+def test_solve_saddle_iru_declines_degenerate_pairs():
+    # the zero row of A puts a zero coordinate into the Perron vector, so
+    # the certificate is inconclusive and the structured solver declines
+    a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
+    b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
+    assert solve_saddle_iru(a, b) is None
+    assert not certify_saddle(solve_saddle(a, b), a, b).conclusive
+    # a cyclic product never converges, so no greedy step is trustworthy
+    cyclic = IRUSet([[[0.0, 0.0807]], [[0.4218, 0.0]]])
+    identity = IRUSet([[[1.0, 0.0]], [[0.0, 1.0]]])
+    assert solve_saddle_iru(cyclic, identity, max_iter=500) is None
+
+
+def test_solve_saddle_iru_far_beyond_the_cap():
+    import time
+
+    rng = np.random.default_rng(50)
+    a = IRUSet(rng.uniform(0.05, 1.0, size=(50, 20, 50)))
+    b = IRUSet(rng.uniform(0.05, 1.0, size=(50, 20, 50)))
+    assert a.cardinality == 20 ** 50
+    start = time.perf_counter()
+    result = solve_saddle_iru(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert result is not None
+    assert certify_saddle(result, a, b, cap=1).valid
+    assert result.value == spectral_radius(mat_mul(result.a_tilde, result.b_tilde)).rho
+
+
+def test_solve_saddle_iru_rejects_other_sets(ex4):
+    iru = IRUSet([[[1.0, 0.0]], [[0.0, 1.0]]])
+    with pytest.raises(TypeError):
+        solve_saddle_iru(ex4, iru)
+    with pytest.raises(ShapeError):
+        solve_saddle_iru(iru, IRUSet([[[1.0, 0.0, 0.0]]] * 3))
 
 
 # --- certificates -------------------------------------------------------------------
