@@ -132,7 +132,7 @@ def _cmd_saddle(args: argparse.Namespace) -> tuple[int, dict]:
     b_set = _load_set(args.b_set)
     result = None
     if isinstance(a_set, IRUSet) and isinstance(b_set, IRUSet):
-        result = solve_saddle_iru(a_set, b_set)
+        result = solve_saddle_iru(a_set, b_set, certificate_tol=args.tol)
     if result is None:
         result = solve_saddle(a_set, b_set, cap=args.cap)
     report = {

@@ -231,11 +231,7 @@ def _greedy_rows(
 
 
 def best_response_rows(
-    fixed: Matrix,
-    iru_set: IRUSet,
-    minimize: bool,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    fixed: Matrix, iru_set: IRUSet, minimize: bool
 ) -> tuple[Matrix, float] | None:
     """Exact best response over an IRU set without enumerating it.
 
@@ -255,7 +251,9 @@ def best_response_rows(
             f"of shape {fixed.shape}"
         )
     start = [0] * len(iru_set.row_sets)
-    found = _greedy_rows(fixed.data, iru_set.row_sets, start, minimize, tol, max_iter)
+    found = _greedy_rows(
+        fixed.data, iru_set.row_sets, start, minimize, DEFAULT_TOL, DEFAULT_MAX_ITER
+    )
     if found is None:
         return None
     _, x, perron = found
@@ -301,6 +299,7 @@ def solve_saddle_iru(
     b_set: IRUSet,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    certificate_tol: float = CERTIFICATE_TOL,
 ) -> SaddleResult | None:
     """Saddle of two IRU sets by alternating greedy best responses.
 
@@ -309,11 +308,11 @@ def solve_saddle_iru(
     b_tilde exactly by greedy row selection, then B answers a_tilde, and
     the rounds repeat until B's answer stays put; ties break to the earliest
     row of each row set.  The settled pair is returned only when
-    :func:`certify_saddle` accepts it: it is then a saddle over both convex
-    hulls, so minmax = maxmin = value and gap = 0.0.  Otherwise (a Perron
-    vector with a zero coordinate, non-convergence, or no settling within
-    IRU_MAX_ROUNDS rounds) the result is None, and :func:`solve_saddle`
-    remains the exhaustive answer.
+    :func:`certify_saddle` accepts it at ``certificate_tol``: it is then a
+    saddle over both convex hulls, so minmax = maxmin = value and
+    gap = 0.0.  Otherwise (a Perron vector with a zero coordinate,
+    non-convergence, or no settling within IRU_MAX_ROUNDS rounds) the
+    result is None, and :func:`solve_saddle` remains the exhaustive answer.
     """
     if not (isinstance(a_set, IRUSet) and isinstance(b_set, IRUSet)):
         raise TypeError("solve_saddle_iru expects two IRU sets")
@@ -346,7 +345,8 @@ def solve_saddle_iru(
         maxmin=perron.rho,
         gap=0.0,
     )
-    return result if certify_saddle(result, a_set, b_set).valid else None
+    certificate = certify_saddle(result, a_set, b_set, tol=certificate_tol)
+    return result if certificate.valid else None
 
 
 def _row_extreme(mset: MatrixSet, x: np.ndarray, cap: int, minimize: bool) -> np.ndarray:

@@ -255,6 +255,20 @@ def test_algebra_overflow_is_an_input_error(tmp_path, capsys):
     }
 
 
+def _saddle_iru_and_finite(tmp_path, capsys, a, b, *flags):
+    """`saddle` outputs for two IRU sets and for their members as finite sets."""
+    reports = []
+    for tag, sets in (("iru", (a, b)), ("finite", [FiniteSet(s.members()) for s in (a, b)])):
+        paths = []
+        for name, mset in zip("ab", sets):
+            p = tmp_path / f"{tag}_{name}.json"
+            p.write_text(json.dumps(set_to_json(mset)))
+            paths.append(str(p))
+        code = main(["saddle", *paths, *flags])
+        reports.append((code, capsys.readouterr().out))
+    return reports
+
+
 def test_iru_saddle_falls_back_to_the_exhaustive_report(tmp_path, capsys):
     # A zero row of A leaves a zero in the Perron vector, so the structured
     # solver declines; the report must then be exactly the one the
@@ -264,17 +278,28 @@ def test_iru_saddle_falls_back_to_the_exhaustive_report(tmp_path, capsys):
     a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
     b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
     assert solve_saddle_iru(a, b) is None
-    reports = []
-    for tag, sets in (("iru", (a, b)), ("finite", [FiniteSet(s.members()) for s in (a, b)])):
-        paths = []
-        for name, mset in zip("ab", sets):
-            p = tmp_path / f"{tag}_{name}.json"
-            p.write_text(json.dumps(set_to_json(mset)))
-            paths.append(str(p))
-        code = main(["saddle", *paths, "--certify", "--hull-samples", "20", "--seed", "3"])
-        reports.append((code, capsys.readouterr().out))
+    flags = ("--certify", "--hull-samples", "20", "--seed", "3")
+    reports = _saddle_iru_and_finite(tmp_path, capsys, a, b, *flags)
     assert reports[0] == reports[1]
     assert json.loads(reports[0][1])["certificate"]["conclusive"] is False
+
+
+def test_iru_saddle_certifies_at_the_users_tol(tmp_path, capsys):
+    # The settled pair's A residual is about -2.2e-13 (rounding), so the
+    # structured answer, with its gap of 0.0, stands at --tol 1e-12 and is
+    # declined at --tol 1e-14, where the report is the exhaustive one.
+    from hourglass import IRUSet
+
+    a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.5, 0.5]]])
+    b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
+    reports = _saddle_iru_and_finite(tmp_path, capsys, a, b, "--certify", "--tol", "1e-14")
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0][1])["certificate"]["valid"] is False
+    paths = [str(tmp_path / f"iru_{name}.json") for name in "ab"]
+    code, report = run_cli(capsys, "saddle", *paths, "--certify", "--tol", "1e-12", "--cap", "1")
+    assert code == 0
+    assert report["certificate"]["valid"] is True
+    assert report["gap"] == 0.0
 
 
 def test_iru_saddle_ignores_the_cap_until_it_enumerates(files, capsys):
