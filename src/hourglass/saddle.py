@@ -36,7 +36,7 @@ from .linalg import (
     readonly,
     spectral_radius,
 )
-from .sets import DEFAULT_CAP, IRUSet, MatrixSet, hull_combination
+from .sets import DEFAULT_CAP, IRUSet, MatrixSet, hull_points
 
 #: Certificate residuals are accepted down to -CERTIFICATE_TOL.
 CERTIFICATE_TOL = 1e-9
@@ -50,6 +50,9 @@ _POSITIVE_VECTOR_TOL = 1e-12
 #: settle in a few steps; greedy minimization can cycle when zero rows make
 #: the Perron vector degenerate, and hitting the bound then gives up.
 IRU_MAX_ROUNDS = 100
+
+# A hull sample combines r members, r drawn uniformly from 1..min(4, K).
+_HULL_TERMS = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,6 +395,26 @@ def certify_saddle(
     )
 
 
+def draw_hull_samples(
+    mset: MatrixSet, n: int, rng: np.random.Generator, cap: int = DEFAULT_CAP
+) -> np.ndarray:
+    """``n`` random points of a set's convex hull, shape (n, rows, cols).
+
+    Point s combines r_s members, r_s uniform on 1..min(4, K), drawn
+    uniformly with replacement and weighted uniformly on the simplex.  After
+    the cap check, ``rng`` gives r for every point, then four member indices
+    and four exponentials per point, of which the first r_s count.  An IRU
+    set is gathered by row (:func:`hull_points`), never enumerated.
+    """
+    count = mset.count(cap)
+    r = rng.integers(1, min(_HULL_TERMS, count) + 1, size=n)
+    picks = rng.integers(0, count, size=(n, _HULL_TERMS))
+    weights = rng.exponential(1.0, size=(n, _HULL_TERMS))
+    weights *= np.arange(_HULL_TERMS) < r[:, None]
+    weights /= weights.sum(axis=1, keepdims=True)
+    return hull_points(mset, picks, weights, cap)
+
+
 def check_saddle_hull_samples(
     result: SaddleResult,
     a_set: MatrixSet,
@@ -403,24 +426,18 @@ def check_saddle_hull_samples(
 ) -> bool:
     """Spot-check the saddle inequalities on random hull points.
 
-    Draws ``n`` convex combinations from each hull and verifies
-    rho(a_tilde B) <= value + tol and value <= rho(A b_tilde) + tol.
-    Returns the conjunction; n = 0 is vacuously True.
+    Draws ``n`` convex combinations from each hull with
+    :func:`draw_hull_samples`, B's first and then A's, from one generator
+    seeded with ``seed``, and verifies rho(a_tilde B) <= value + tol and
+    value <= rho(A b_tilde) + tol.  A set over ``cap`` raises
+    :class:`CapExceededError`; an IRU set is checked by its cardinality and
+    never enumerated.  Returns the conjunction; n = 0 is vacuously True.
     """
     if n <= 0:
         return True
     rng = np.random.default_rng(seed)
-
-    def draw(stack: np.ndarray) -> np.ndarray:
-        samples = []
-        for _ in range(n):
-            r = int(rng.integers(1, min(4, len(stack)) + 1))
-            child_seed = int(rng.integers(0, 2 ** 63))
-            samples.append(hull_combination(stack, r, child_seed))
-        return np.stack(samples)
-
-    b_samples = draw(b_set.stack(cap))
-    a_samples = draw(a_set.stack(cap))
+    b_samples = draw_hull_samples(b_set, n, rng, cap)
+    a_samples = draw_hull_samples(a_set, n, rng, cap)
     rho_b = _radii(result.a_tilde, b_samples, fixed_on_left=True)
     rho_a = _radii(result.b_tilde, a_samples, fixed_on_left=False)
     return bool((rho_b <= result.value + tol).all() and (rho_a >= result.value - tol).all())

@@ -72,6 +72,10 @@ class MatrixSet(abc.ABC):
         """All members in enumeration order."""
         return [Matrix(a) for a in self.stack(cap)]
 
+    def count(self, cap: int = DEFAULT_CAP) -> int:
+        """Number of members K; raises :class:`CapExceededError` above ``cap``."""
+        return len(self.stack(cap))
+
 
 def _check_cap(count: int, cap: int) -> None:
     if count > cap:
@@ -194,8 +198,14 @@ class IRUSet(MatrixSet):
             card *= rs.shape[0]
         return card
 
+    def count(self, cap: int = DEFAULT_CAP) -> int:
+        """The cardinality, checked against ``cap`` without enumerating."""
+        card = self.cardinality
+        _check_cap(card, cap)
+        return card
+
     def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
-        _check_cap(self.cardinality, cap)
+        self.count(cap)
         sizes = [rs.shape[0] for rs in self._row_sets]
         grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
         choices = np.stack([g.reshape(-1) for g in grids], axis=1)
@@ -392,18 +402,26 @@ def hausdorff_distance(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> fl
     return float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
 
 
-def hull_combination(stack: np.ndarray, r: int, rng_seed: int) -> np.ndarray:
-    """Random convex combination of ``r >= 1`` rows of a member stack.
+def hull_points(
+    mset: MatrixSet, picks: np.ndarray, weights: np.ndarray, cap: int = DEFAULT_CAP
+) -> np.ndarray:
+    """Convex combinations of members chosen by enumeration index.
 
-    Members are drawn with replacement and weighted by normalized
-    exponentials (uniform on the simplex).  Fixed seeds reproduce the draw
-    exactly.
+    ``picks`` and ``weights`` have shape (S, R); point s is the sum over k
+    of ``weights[s, k]`` times member ``picks[s, k]`` in enumeration order,
+    so rows of weights summing to 1 give points of the convex hull.  Returns
+    shape (S, rows, cols).  An IRU set is checked against ``cap`` by its
+    cardinality and its members are gathered row by row, never enumerated;
+    other sets index their stack.
     """
-    rng = np.random.default_rng(rng_seed)
-    picks = rng.integers(0, stack.shape[0], size=r)
-    weights = rng.exponential(1.0, size=r)
-    weights /= weights.sum()
-    return np.einsum("k,kij->ij", weights, stack[picks])
+    if isinstance(mset, IRUSet):
+        mset.count(cap)
+        sizes = [rs.shape[0] for rs in mset.row_sets]
+        choices = np.unravel_index(picks, sizes)
+        members = np.stack([rs[c] for rs, c in zip(mset.row_sets, choices)], axis=-2)
+    else:
+        members = mset.stack(cap)[picks]
+    return np.einsum("sk,skij->sij", weights, members)
 
 
 def convex_hull_sample(
@@ -411,12 +429,18 @@ def convex_hull_sample(
 ) -> Matrix:
     """Random convex combination of ``r`` members drawn with replacement.
 
-    The result lies in the convex hull of the set; see
-    :func:`hull_combination` for the draw.
+    The result lies in the convex hull of the set.  Members are drawn
+    uniformly and weighted by normalized exponentials (uniform on the
+    simplex); fixed seeds reproduce the draw exactly, and an IRU set is
+    sampled through :func:`hull_points` without being enumerated.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
-    return Matrix(hull_combination(mset.stack(cap), r, rng_seed))
+    rng = np.random.default_rng(rng_seed)
+    picks = rng.integers(0, mset.count(cap), size=(1, r))
+    weights = rng.exponential(1.0, size=(1, r))
+    weights /= weights.sum()
+    return Matrix(hull_points(mset, picks, weights, cap)[0])
 
 
 def _extreme_rows_1d(rows: np.ndarray) -> np.ndarray:

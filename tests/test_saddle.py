@@ -23,6 +23,7 @@ from hourglass import (
     spectral_radius,
     transpose_set,
 )
+from hourglass.saddle import draw_hull_samples
 
 from helpers import diag, random_finite_set
 
@@ -344,3 +345,78 @@ def test_hull_samples_random_pair(rng):
     a, b = random_pair(rng)
     result = solve_saddle(a, b)
     assert check_saddle_hull_samples(result, a, b, 200, seed=5)
+
+
+def _draw_reference(stack, n, seed):
+    """The hull draw written point by point: same three draws, r_s terms each."""
+    rng = np.random.default_rng(seed)
+    r = rng.integers(1, min(4, len(stack)) + 1, size=n)
+    picks = rng.integers(0, len(stack), size=(n, 4))
+    weights = rng.exponential(1.0, size=(n, 4))
+    points = []
+    for s in range(n):
+        w = weights[s, : r[s]] / weights[s, : r[s]].sum()
+        points.append(np.einsum("k,kij->ij", w, stack[picks[s, : r[s]]]))
+    return np.stack(points)
+
+
+def test_hull_samples_iru_match_finite_members(rng):
+    # Oracle: an IRU pair and the same members listed as finite sets draw
+    # bit-identical sample stacks from one seed and reach the same verdict;
+    # the finite draw equals the point-by-point reference.
+    verdicts = []
+    for trial in range(50):
+        a, b = random_pair(rng)
+        fa, fb = FiniteSet(a.members()), FiniteSet(b.members())
+        result = solve_saddle(a, b)
+        draws = []
+        for pair in ((a, b), (fa, fb)):
+            gen = np.random.default_rng(trial)
+            draws.append([draw_hull_samples(s, 30, gen) for s in pair[::-1]])
+        for iru_samples, finite_samples in zip(*draws):
+            assert np.array_equal(iru_samples, finite_samples)
+        assert np.array_equal(draws[1][0], _draw_reference(fb.stack(), 30, trial))
+        verdict = check_saddle_hull_samples(result, a, b, 30, seed=trial)
+        assert verdict == check_saddle_hull_samples(result, fa, fb, 30, seed=trial)
+        verdicts.append(verdict)
+    assert all(verdicts)
+
+
+def test_hull_samples_never_enumerate_iru_sets(rng, monkeypatch):
+    a, b = random_pair(rng)
+    result = solve_saddle_iru(a, b)
+    assert result is not None
+
+    def refuse(self, cap=None):
+        raise AssertionError("IRUSet.stack called")
+
+    monkeypatch.setattr(IRUSet, "stack", refuse)
+    assert check_saddle_hull_samples(result, a, b, 200, seed=4)
+    sample = convex_hull_sample(a, 3, rng_seed=9)
+    assert sample.shape == a.shape
+
+
+def test_hull_samples_check_the_cap_before_drawing():
+    a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.5, 0.5], [0.1, 0.9]]])
+    b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
+    result = solve_saddle_iru(a, b)
+    gen = np.random.default_rng(3)
+    state = gen.bit_generator.state
+    with pytest.raises(CapExceededError):
+        draw_hull_samples(a, 10, gen, cap=3)
+    assert gen.bit_generator.state == state
+    with pytest.raises(CapExceededError):
+        check_saddle_hull_samples(result, a, b, 10, seed=3, cap=3)
+    with pytest.raises(CapExceededError):
+        convex_hull_sample(a, 2, rng_seed=3, cap=3)
+    assert check_saddle_hull_samples(result, a, b, 10, seed=3, cap=4)
+
+
+def test_hull_samples_detect_the_projection_counterexample(ex4):
+    # ex4 = {diag(1,0), diag(0,1)} has no saddle: value 0 against minmax 1,
+    # and hull points such as diag(1/2, 1/2) expose it.
+    result = solve_saddle(ex4, ex4)
+    assert result.value == 0.0
+    assert result.minmax == 1.0
+    for seed in range(5):
+        assert not check_saddle_hull_samples(result, ex4, ex4, 50, seed=seed)

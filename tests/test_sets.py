@@ -29,6 +29,7 @@ from hourglass import (
     set_to_json,
     transpose_set,
 )
+from hourglass.sets import hull_points
 
 from helpers import diag, random_finite_set, sets_equal
 
@@ -295,6 +296,38 @@ def test_convex_hull_sample_stays_in_envelope(rng):
         sample = convex_hull_sample(s, 4, rng_seed=seed)
         assert (sample.data >= lo - 1e-12).all()
         assert (sample.data <= hi + 1e-12).all()
+
+
+def test_convex_hull_sample_iru_gathers_the_members_of_its_stack(rng):
+    # Same seed, same point, whether the IRU set gathers members by row or
+    # its members are listed as a finite set; the reference is the per-seed
+    # draw indexed into the enumerated stack.
+    for trial in range(20):
+        n, m = (int(x) for x in rng.integers(1, 5, size=2))
+        iru = IRUSet([rng.uniform(0, 1, size=(int(rng.integers(1, 4)), m)) for _ in range(n)])
+        finite = FiniteSet(iru.members())
+        stack = iru.stack()
+        for r in range(1, 7):
+            seed = trial * 10 + r
+            draw = np.random.default_rng(seed)
+            picks = draw.integers(0, len(stack), size=r)
+            weights = draw.exponential(1.0, size=r)
+            weights /= weights.sum()
+            expected = np.einsum("k,kij->ij", weights, stack[picks])
+            sample = convex_hull_sample(iru, r, rng_seed=seed)
+            assert np.array_equal(sample.data, expected)
+            assert np.array_equal(convex_hull_sample(finite, r, rng_seed=seed).data, expected)
+
+
+def test_hull_points_follow_enumeration_order():
+    iru = IRUSet([[[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]])
+    picks = np.arange(6)[:, None]
+    points = hull_points(iru, picks, np.ones((6, 1)))
+    assert np.array_equal(points, iru.stack())
+    half = hull_points(iru, np.array([[0, 5]]), np.array([[0.5, 0.5]]))
+    assert np.array_equal(half[0], [[1.5, 0.0], [0.0, 2.0]])
+    with pytest.raises(CapExceededError):
+        hull_points(iru, picks, np.ones((6, 1)), cap=5)
 
 
 def test_convex_hull_sample_midpoint_arithmetic(ex4):
