@@ -17,6 +17,7 @@ failure is conclusive, a pass is evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -63,44 +64,33 @@ class HsetCheckResult:
     failures: tuple[HourglassReport, ...]
 
 
-def _branches_at(
-    images: np.ndarray, probe_image: np.ndarray, tol: float
-) -> tuple[bool, int | None, bool, int | None]:
-    """Evaluate both branches given all member images and the probe image.
-
-    Returns (h1 all-above, h1 witness index, h2 all-below, h2 witness index);
-    witness indices are the earliest in enumeration order, or None.
+def _evaluate(
+    members: np.ndarray, t: int, us: np.ndarray, tol: float
+) -> tuple[np.ndarray, Callable[[int], HourglassReport]]:
+    """Whether the alternative holds at member ``t`` and each ``us[p]``, and
+    a builder of the report at p; witnesses are the earliest members.
     """
-    above = (images >= probe_image - tol).all(axis=1)
-    below = (images <= probe_image + tol).all(axis=1)
-    differs = np.abs(images - probe_image).max(axis=1) > tol
+    images = np.einsum("knm,pm->pkn", members, us)
+    probe = images[:, t : t + 1]
+    above = (images >= probe - tol).all(axis=2)
+    below = (images <= probe + tol).all(axis=2)
+    differs = np.abs(images - probe).max(axis=2) > tol
+    all_above, all_below = above.all(axis=1), below.all(axis=1)
+    lower, upper = below & differs, above & differs
+    holds = (all_above | lower.any(axis=1)) & (all_below | upper.any(axis=1))
 
-    def first(mask: np.ndarray) -> int | None:
-        hits = np.flatnonzero(mask)
-        return int(hits[0]) if hits.size else None
+    def witness(mask: np.ndarray) -> Matrix | None:
+        return Matrix(members[mask.argmax()]) if mask.any() else None
 
-    return (
-        bool(above.all()),
-        first(below & differs),
-        bool(below.all()),
-        first(above & differs),
-    )
+    def report(p: int) -> HourglassReport:
+        return HourglassReport(
+            probe_matrix=Matrix(members[t]),
+            probe_vector=readonly(np.array(us[p])),
+            h1=BranchReport(bool(all_above[p]), witness(lower[p])),
+            h2=BranchReport(bool(all_below[p]), witness(upper[p])),
+        )
 
-
-def _report(
-    members: np.ndarray,
-    probe_index: int,
-    u: np.ndarray,
-    tol: float,
-) -> HourglassReport:
-    images = np.einsum("knm,m->kn", members, u)
-    all_above, wit_lo, all_below, wit_hi = _branches_at(images, images[probe_index], tol)
-    return HourglassReport(
-        probe_matrix=Matrix(members[probe_index]),
-        probe_vector=readonly(np.array(u)),
-        h1=BranchReport(all_above, Matrix(members[wit_lo]) if wit_lo is not None else None),
-        h2=BranchReport(all_below, Matrix(members[wit_hi]) if wit_hi is not None else None),
-    )
+    return holds, report
 
 
 def check_hourglass_at(
@@ -129,7 +119,8 @@ def check_hourglass_at(
     probe_index = int(gaps.argmin())
     if gaps[probe_index] > tol:
         raise ValueError("probe matrix is not a member of the set")
-    return _report(members, probe_index, u, tol)
+    _, report = _evaluate(members, probe_index, u[None, :], tol)
+    return report(0)
 
 
 def check_hset_sampled(
@@ -152,11 +143,6 @@ def check_hset_sampled(
     failures: list[HourglassReport] = []
     for t in range(count):
         us = 10.0 ** rng.uniform(-2.0, 2.0, size=(n_probes, n_cols))
-        for u in us:
-            images = np.einsum("knm,m->kn", members, u)
-            all_above, wit_lo, all_below, wit_hi = _branches_at(images, images[t], tol)
-            h1_ok = all_above or wit_lo is not None
-            h2_ok = all_below or wit_hi is not None
-            if not (h1_ok and h2_ok):
-                failures.append(_report(members, t, u, tol))
+        holds, report = _evaluate(members, t, us, tol)
+        failures.extend(report(p) for p in np.flatnonzero(~holds))
     return HsetCheckResult(passed=not failures, failures=tuple(failures))

@@ -31,7 +31,6 @@ from .linalg import (
     DEFAULT_TOL,
     Matrix,
     PerronData,
-    mat_mul,
     power_many,
     readonly,
     spectral_radius,
@@ -163,12 +162,8 @@ def _radii(fixed: Matrix, stack: np.ndarray, fixed_on_left: bool) -> np.ndarray:
 def _best_response(
     fixed: Matrix, mset: MatrixSet, cap: int, minimize: bool
 ) -> tuple[Matrix, float]:
-    if mset.shape != fixed.shape[::-1]:
-        names = ("a_set", "b") if minimize else ("b_set", "a")
-        raise ShapeError(
-            f"{names[0]} members {mset.shape} do not pair with "
-            f"{names[1]} of shape {fixed.shape}"
-        )
+    shapes = (mset.shape, fixed.shape)
+    _check_pairing(*(shapes if minimize else shapes[::-1]))
     members = mset.stack(cap)
     rho = _radii(fixed, members, fixed_on_left=not minimize)
     best = int(rho.argmin() if minimize else rho.argmax())
@@ -248,11 +243,8 @@ def best_response_rows(
     """
     if not isinstance(iru_set, IRUSet):
         raise TypeError("best_response_rows expects an IRU set")
-    if iru_set.shape != fixed.shape[::-1]:
-        raise ShapeError(
-            f"IRU members {iru_set.shape} do not pair with a fixed matrix "
-            f"of shape {fixed.shape}"
-        )
+    shapes = (iru_set.shape, fixed.shape)
+    _check_pairing(*(shapes if minimize else shapes[::-1]))
     start = [0] * len(iru_set.row_sets)
     found = _greedy_rows(
         fixed.data, iru_set.row_sets, start, minimize, DEFAULT_TOL, DEFAULT_MAX_ITER
@@ -261,6 +253,23 @@ def best_response_rows(
         return None
     _, x, perron = found
     return Matrix(x), perron.rho
+
+
+def _saddle_result(
+    a: np.ndarray, b: np.ndarray, perron: PerronData, minmax: float, maxmin: float
+) -> SaddleResult:
+    """The pair (a, b) with the Perron data of a b, w = b v and gap = minmax - maxmin."""
+    b_tilde = Matrix(b)
+    return SaddleResult(
+        a_tilde=Matrix(a),
+        b_tilde=b_tilde,
+        value=perron.rho,
+        perron=perron,
+        w=readonly(b_tilde.data @ perron.vector),
+        minmax=minmax,
+        maxmin=maxmin,
+        gap=minmax - maxmin,
+    )
 
 
 def solve_saddle(
@@ -281,20 +290,8 @@ def solve_saddle(
     stack_a, stack_b = a_set.stack(cap), b_set.stack(cap)
     table, _ = product_table(stack_a, stack_b, cap, tol, max_iter)
     minmax, maxmin, i, j = reduce_table(table)
-    a_tilde = Matrix(stack_a[i])
-    b_tilde = Matrix(stack_b[j])
-    perron = spectral_radius(mat_mul(a_tilde, b_tilde), tol=tol, max_iter=max_iter)
-    w = readonly(b_tilde.data @ perron.vector)
-    return SaddleResult(
-        a_tilde=a_tilde,
-        b_tilde=b_tilde,
-        value=perron.rho,
-        perron=perron,
-        w=w,
-        minmax=minmax,
-        maxmin=maxmin,
-        gap=minmax - maxmin,
-    )
+    perron = spectral_radius(Matrix(stack_a[i] @ stack_b[j]), tol=tol, max_iter=max_iter)
+    return _saddle_result(stack_a[i], stack_b[j], perron, minmax, maxmin)
 
 
 def solve_saddle_iru(
@@ -337,17 +334,7 @@ def solve_saddle_iru(
             break
     else:
         return None
-    b_tilde = Matrix(b)
-    result = SaddleResult(
-        a_tilde=Matrix(a),
-        b_tilde=b_tilde,
-        value=perron.rho,
-        perron=perron,
-        w=readonly(b_tilde.data @ perron.vector),
-        minmax=perron.rho,
-        maxmin=perron.rho,
-        gap=0.0,
-    )
+    result = _saddle_result(a, b, perron, perron.rho, perron.rho)
     certificate = certify_saddle(result, a_set, b_set, tol=certificate_tol)
     return result if certificate.valid else None
 

@@ -76,6 +76,10 @@ class MatrixSet(abc.ABC):
         """Number of members K; raises :class:`CapExceededError` above ``cap``."""
         return len(self.stack(cap))
 
+    def take(self, indices, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """Members at enumeration ``indices``, shape indices.shape + (rows, cols)."""
+        return self.stack(cap)[indices]
+
 
 def _check_cap(count: int, cap: int) -> None:
     if count > cap:
@@ -204,13 +208,14 @@ class IRUSet(MatrixSet):
         _check_cap(card, cap)
         return card
 
-    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+    def take(self, indices, cap: int = DEFAULT_CAP) -> np.ndarray:
+        """Members gathered row by row, never enumerating the set."""
         self.count(cap)
-        sizes = [rs.shape[0] for rs in self._row_sets]
-        grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-        choices = np.stack([g.reshape(-1) for g in grids], axis=1)
-        rows = [rs[choices[:, i]] for i, rs in enumerate(self._row_sets)]
-        return readonly(np.stack(rows, axis=1))
+        choices = np.unravel_index(indices, [rs.shape[0] for rs in self._row_sets])
+        return np.stack([rs[c] for rs, c in zip(self._row_sets, choices)], axis=-2)
+
+    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+        return readonly(self.take(np.arange(self.count(cap)), cap))
 
     def __repr__(self) -> str:
         sizes = tuple(rs.shape[0] for rs in self._row_sets)
@@ -335,12 +340,13 @@ class ExprSet(MatrixSet):
     """
 
     kind = "expr"
-    __slots__ = ("_expr",)
+    __slots__ = ("_expr", "_evaluated")
 
     def __init__(self, expr: PolyExpr):
         if not isinstance(expr, (Leaf, Sum, Product, Scale)):
             raise TypeError("ExprSet expects a PolyExpr node")
         self._expr = expr
+        self._evaluated: tuple[int, np.ndarray] | None = None
 
     @property
     def expr(self) -> PolyExpr:
@@ -351,7 +357,10 @@ class ExprSet(MatrixSet):
         return self._expr.shape
 
     def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
-        return self._expr.stack(cap)
+        """The evaluated tree, kept for the last ``cap``; another cap re-evaluates."""
+        if self._evaluated is None or self._evaluated[0] != cap:
+            self._evaluated = (cap, self._expr.stack(cap))
+        return self._evaluated[1]
 
 
 def eval_expr(expr: PolyExpr, cap: int = DEFAULT_CAP) -> FiniteSet:
@@ -409,19 +418,11 @@ def hull_points(
 
     ``picks`` and ``weights`` have shape (S, R); point s is the sum over k
     of ``weights[s, k]`` times member ``picks[s, k]`` in enumeration order,
-    so rows of weights summing to 1 give points of the convex hull.  Returns
-    shape (S, rows, cols).  An IRU set is checked against ``cap`` by its
-    cardinality and its members are gathered row by row, never enumerated;
-    other sets index their stack.
+    so rows of weights summing to 1 give points of the convex hull, of
+    shape (S, rows, cols).  Members come from :meth:`MatrixSet.take`, so an
+    IRU set is never enumerated.
     """
-    if isinstance(mset, IRUSet):
-        mset.count(cap)
-        sizes = [rs.shape[0] for rs in mset.row_sets]
-        choices = np.unravel_index(picks, sizes)
-        members = np.stack([rs[c] for rs, c in zip(mset.row_sets, choices)], axis=-2)
-    else:
-        members = mset.stack(cap)[picks]
-    return np.einsum("sk,skij->sij", weights, members)
+    return np.einsum("sk,skij->sij", weights, mset.take(picks, cap))
 
 
 def convex_hull_sample(

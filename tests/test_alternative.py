@@ -15,7 +15,7 @@ from hourglass import (
     random_iru_set,
 )
 
-from helpers import ex4_set
+from helpers import ex4_set, random_finite_set
 
 
 @pytest.fixture
@@ -159,3 +159,42 @@ def test_sampled_check_is_deterministic(rng):
     second = check_hset_sampled(iru, 20, rng_seed=9)
     assert first.passed == second.passed
     assert len(first.failures) == len(second.failures)
+
+
+def _reference_failures(mset, n_probes, seed):
+    """Failing reports of a loop over single probes, with the same draws."""
+    rng = np.random.default_rng(seed)
+    failures = []
+    for probe in mset.members():
+        for u in 10.0 ** rng.uniform(-2.0, 2.0, size=(n_probes, mset.shape[1])):
+            report = check_hourglass_at(mset, probe, u)
+            if not report.holds:
+                failures.append(report)
+    return failures
+
+
+def test_sampled_check_matches_a_loop_over_single_probes(rng):
+    sets = [ex4_set()]
+    for trial in range(30):
+        n, m = (int(x) for x in rng.integers(1, 4, size=2))
+        if trial % 3 == 0:
+            sets.append(random_finite_set(rng, n, m, int(rng.integers(2, 8)), zero_prob=0.5))
+        elif trial % 3 == 1:
+            a = random_iru_set(rng, n, m, 2)
+            sets.append(minkowski_product(a, random_finite_set(rng, m, n, 2, zero_prob=0.4)))
+        else:
+            a = random_iru_set(rng, n, m, 2)
+            sets.append(minkowski_sum(a, random_finite_set(rng, n, m, 2, zero_prob=0.4)))
+    compared = 0
+    for seed, mset in enumerate(sets):
+        got = check_hset_sampled(mset, 8, rng_seed=seed).failures
+        expected = _reference_failures(mset, 8, seed)
+        assert len(got) == len(expected), seed
+        for g, e in zip(got, expected):
+            assert g.probe_matrix == e.probe_matrix
+            assert np.array_equal(g.probe_vector, e.probe_vector)
+            for branch_g, branch_e in ((g.h1, e.h1), (g.h2, e.h2)):
+                assert branch_g.all_on_side == branch_e.all_on_side
+                assert branch_g.witness == branch_e.witness
+        compared += len(got)
+    assert compared > 100  # the sparse sets do fail

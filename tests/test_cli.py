@@ -10,7 +10,7 @@ from hourglass.cli import main
 
 from helpers import ex4_set
 
-from hourglass import ExprSet, FiniteSet, Leaf, Matrix, Scale, set_to_json
+from hourglass import ExprSet, FiniteSet, Leaf, Matrix, Scale, Sum, set_to_json
 
 
 @pytest.fixture
@@ -308,8 +308,33 @@ def test_iru_saddle_ignores_the_cap_until_it_enumerates(files, capsys):
     assert code == 0
     assert report["certificate"]["valid"] is True
     assert report["gap"] == 0.0
-    # hull samples enumerate, so the cap still binds there (and on the
-    # minimax table, see test_cap_exceeded_is_an_input_error)
+    # hull samples check the cardinality against the cap, so it still binds
+    # there (and on the minimax table, see test_cap_exceeded_is_an_input_error)
     code, report = run_cli(capsys, "saddle", *pair, "--hull-samples", "5", "--cap", "1")
     assert code == 2
     assert "cap" in report["error"]["message"]
+
+
+def test_expr_sets_are_evaluated_once_per_invocation(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(3)
+    paths = []
+    for name in ("a.json", "b.json"):
+        leaves = [FiniteSet([Matrix(rng.uniform(0.1, 1, size=(2, 2))) for _ in range(2)])
+                  for _ in range(2)]
+        path = tmp_path / name
+        path.write_text(json.dumps(set_to_json(ExprSet(Sum(*map(Leaf, leaves))))))
+        paths.append(str(path))
+    evaluations = []
+    evaluate = Sum.stack
+
+    def counting(self, cap):
+        evaluations.append(cap)
+        return evaluate(self, cap)
+
+    monkeypatch.setattr(Sum, "stack", counting)
+    for argv in (["saddle", "--certify", "--hull-samples", "10"], ["saddle", "--certify"],
+                 ["minimax"]):
+        evaluations.clear()
+        code, _ = run_cli(capsys, argv[0], *paths, *argv[1:])
+        assert code == 0
+        assert len(evaluations) == 2, argv

@@ -1,5 +1,6 @@
 """Tests for matrix-set representations and the Minkowski algebra."""
 
+import itertools
 import json
 
 import numpy as np
@@ -330,6 +331,33 @@ def test_hull_points_follow_enumeration_order():
         hull_points(iru, picks, np.ones((6, 1)), cap=5)
 
 
+def test_iru_take_matches_a_product_oracle(rng):
+    # itertools.product walks the row choices with the last row fastest,
+    # which is the enumeration order; picks come as an (S, R) index array.
+    row_sets = [rng.uniform(0, 1, size=(k, 3)) for k in (2, 3, 4)]
+    iru = IRUSet(row_sets)
+    oracle = np.array([np.stack(rows) for rows in itertools.product(*row_sets)])
+    picks = rng.integers(0, len(oracle), size=(7, 3))
+    assert iru.take(picks).shape == (7, 3, 3, 3)
+    assert np.array_equal(iru.take(picks), oracle[picks])
+    assert np.array_equal(iru.stack(), oracle)
+    assert np.array_equal(FiniteSet(iru.members()).take(picks), oracle[picks])
+
+
+def test_iru_take_gathers_beyond_the_default_cap_without_enumerating(monkeypatch):
+    iru = IRUSet([[[1.0], [2.0]]] * 21)  # 2**21 members
+
+    def refuse(self, cap=None):
+        raise AssertionError("IRUSet.stack must not be called")
+
+    monkeypatch.setattr(IRUSet, "stack", refuse)
+    first, last = iru.take([0, 2 ** 21 - 1], cap=2 ** 21)
+    assert np.array_equal(first, np.ones((21, 1)))
+    assert np.array_equal(last, np.full((21, 1), 2.0))
+    with pytest.raises(CapExceededError):
+        iru.take([0])
+
+
 def test_convex_hull_sample_midpoint_arithmetic(ex4):
     # The weight vector (1/2, 1/2) applied to the two projections is the
     # half-identity; the sampler must be able to realize exactly this
@@ -487,6 +515,20 @@ def test_expr_stack_rejects_overflow():
     big = ExprSet(Scale(1e300, Leaf(FiniteSet([Matrix([[1e10]])]))))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         big.stack()
+
+
+def test_expr_stack_rechecks_the_cap_it_was_not_evaluated_at(rng):
+    # Six members plus six zero matrices: 6 distinct sums from 36 pairs.
+    # The evaluation kept from a large cap must not hide the pair cap.
+    members = random_finite_set(rng, 2, 2, 6)
+    zeros = FiniteSet([Matrix(np.zeros((2, 2)))] * 6)
+    expr = ExprSet(Sum(Leaf(members), Leaf(zeros)))
+    assert len(expr.stack(10 ** 6)) == 6
+    with pytest.raises(CapExceededError):
+        expr.stack(10)
+    with pytest.raises(CapExceededError):
+        expr.count(10)
+    assert np.array_equal(expr.stack(36), members.stack())
 
 
 # --- DEDUP_TOL semantics of Minkowski results ---------------------------------------
