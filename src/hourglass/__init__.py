@@ -57,6 +57,7 @@ from .sets import (
     hausdorff_distance,
     minkowski_product,
     minkowski_sum,
+    random_iru_pair,
     random_iru_set,
     scale_set,
     set_from_json,
@@ -108,6 +109,7 @@ __all__ = [
     "minimax_table",
     "minkowski_product",
     "minkowski_sum",
+    "random_iru_pair",
     "random_iru_set",
     "scale_set",
     "set_from_json",

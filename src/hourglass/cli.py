@@ -36,7 +36,7 @@ from .sets import (
     IRUSet,
     MatrixSet,
     hausdorff_distance,
-    random_iru_set,
+    random_iru_pair,
     set_from_json,
 )
 
@@ -111,7 +111,7 @@ def _cmd_minimax(args: argparse.Namespace) -> tuple[int, dict]:
     a_set = _load_set(args.a_set)
     b_set = _load_set(args.b_set)
     stack_a, stack_b = a_set.stack(args.cap), b_set.stack(args.cap)
-    table, conv = product_table(stack_a, stack_b, args.cap, DEFAULT_TOL, DEFAULT_MAX_ITER)
+    table, _, _, conv = product_table(stack_a, stack_b, args.cap)
     minmax, maxmin, _, _ = reduce_table(table)
     report = {"minmax": minmax, "maxmin": maxmin, "gap": minmax - maxmin}
     if args.table:
@@ -196,10 +196,8 @@ def _cmd_batch(args: argparse.Namespace) -> tuple[int, dict]:
     results = []
     max_gap = 0.0
     for index in range(args.trials):
-        n = int(rng.integers(2, 4))
-        m = int(rng.integers(2, 4))
-        a_set = random_iru_set(rng, n, m, max_rows_per_set=3)
-        b_set = random_iru_set(rng, m, n, max_rows_per_set=3)
+        a_set, b_set = random_iru_pair(rng)
+        n, m = a_set.shape
         solved = solve_saddle(a_set, b_set, cap=args.cap)
         max_gap = max(max_gap, solved.gap)
         results.append(

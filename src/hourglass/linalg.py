@@ -84,10 +84,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self._data.shape
 
-    @property
-    def is_positive(self) -> bool:
-        return bool((self._data > 0).all())
-
     def transpose(self) -> "Matrix":
         return Matrix(self._data.T)
 
@@ -186,6 +182,17 @@ class PerronData:
     iterations: int
     converged: bool
 
+    @classmethod
+    def of(cls, kernel_out: tuple[np.ndarray, ...], k) -> "PerronData":
+        """Entry ``k`` (an index into the leading axes) of a :func:`power_many` output."""
+        rho, vectors, iterations, converged = kernel_out
+        return cls(
+            rho=float(rho[k]),
+            vector=readonly(vectors[k].copy()),
+            iterations=int(iterations[k]),
+            converged=bool(converged[k]),
+        )
+
 
 def power_many(
     mats: np.ndarray,
@@ -271,15 +278,7 @@ def spectral_radius(
     """
     if a.rows != a.cols:
         raise ShapeError(f"spectral radius needs a square matrix, got {a.rows}x{a.cols}")
-    rho, vectors, iterations, converged = power_many(
-        a.data[None, :, :], tol=tol, max_iter=max_iter
-    )
-    return PerronData(
-        rho=float(rho[0]),
-        vector=readonly(vectors[0]),
-        iterations=int(iterations[0]),
-        converged=bool(converged[0]),
-    )
+    return PerronData.of(power_many(a.data[None, :, :], tol=tol, max_iter=max_iter), 0)
 
 
 def collatz_wielandt_upper(a: Matrix, u) -> float:

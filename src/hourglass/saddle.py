@@ -17,6 +17,11 @@ exact best response is found by greedy row selection (Nesterov & Protasov,
 Cvetkovic & Protasov, "The greedy strategy for optimizing the Perron
 eigenvalue", Math. Program. 2022), and the row-wise certificate decides
 whether the pair it settles on is a saddle.
+
+Every radius here comes from :func:`power_many`, at its default
+tolerances, on a stack of products formed with ``@``: the table is one
+kernel pass over the broadcast stack, and the exhaustive solver reads the
+Perron data of its pair from that table cell rather than solving again.
 """
 
 from __future__ import annotations
@@ -26,15 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError, ShapeError
-from .linalg import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    Matrix,
-    PerronData,
-    power_many,
-    readonly,
-    spectral_radius,
-)
+from .linalg import Matrix, PerronData, power_many, readonly
 from .sets import DEFAULT_CAP, IRUSet, MatrixSet, hull_points
 
 #: Certificate residuals are accepted down to -CERTIFICATE_TOL.
@@ -102,25 +99,24 @@ def _check_pairing(shape_a: tuple[int, ...], shape_b: tuple[int, ...]) -> None:
 
 
 def product_table(
-    stack_a: np.ndarray,
-    stack_b: np.ndarray,
-    cap: int = DEFAULT_CAP,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral radii of all pairwise products of two member stacks.
+    stack_a: np.ndarray, stack_b: np.ndarray, cap: int = DEFAULT_CAP
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Perron kernel on all pairwise products of two member stacks.
 
-    Returns (table, converged) where table[i, j] is rho(A_i B_j) and
-    converged[i, j] its power-iteration flag.  The A stack has shape
-    (ka, n, m) and the B stack (kb, m, n); ka * kb must stay within ``cap``.
+    Returns the :func:`power_many` output (rho, vectors, iterations,
+    converged) with leading shape (ka, kb): cell (i, j) belongs to
+    A_i @ B_j, so rho is the table of spectral radii and
+    ``PerronData.of(out, (i, j))`` the data of one product.  The A stack
+    has shape (ka, n, m) and the B stack (kb, m, n); ka * kb must stay
+    within ``cap``.
     """
     _check_pairing(stack_a.shape[1:], stack_b.shape[1:])
     ka, kb, n = len(stack_a), len(stack_b), stack_a.shape[1]
     if ka * kb > cap:
         raise CapExceededError(ka * kb, cap)
-    products = np.einsum("aij,bjk->abik", stack_a, stack_b)
-    rho, _, _, conv = power_many(products.reshape(ka * kb, n, n), tol, max_iter)
-    return rho.reshape(ka, kb), conv.reshape(ka, kb)
+    products = stack_a[:, None] @ stack_b[None]
+    out = power_many(products.reshape(ka * kb, n, n))
+    return tuple(x.reshape((ka, kb) + x.shape[1:]) for x in out)
 
 
 def reduce_table(table: np.ndarray) -> tuple[float, float, int, int]:
@@ -136,27 +132,18 @@ def reduce_table(table: np.ndarray) -> tuple[float, float, int, int]:
     return float(table.max(axis=1).min()), float(col_min[j]), i, j
 
 
-def minimax_table(
-    a_set: MatrixSet,
-    b_set: MatrixSet,
-    cap: int = DEFAULT_CAP,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> np.ndarray:
+def minimax_table(a_set: MatrixSet, b_set: MatrixSet, cap: int = DEFAULT_CAP) -> np.ndarray:
     """Full table rho(A_i B_j) in enumeration order.
 
     Row reductions give min-max, column reductions max-min; the product of
     the two cardinalities must stay within ``cap``.
     """
-    table, _ = product_table(a_set.stack(cap), b_set.stack(cap), cap, tol, max_iter)
-    return readonly(table)
+    return readonly(product_table(a_set.stack(cap), b_set.stack(cap), cap)[0])
 
 
-def _radii(fixed: Matrix, stack: np.ndarray, fixed_on_left: bool) -> np.ndarray:
+def _radii(fixed: np.ndarray, stack: np.ndarray, fixed_on_left: bool) -> np.ndarray:
     """rho(fixed X), or rho(X fixed), for every X in the stack."""
-    if fixed_on_left:
-        return power_many(np.einsum("ij,kjl->kil", fixed.data, stack))[0]
-    return power_many(np.einsum("kij,jl->kil", stack, fixed.data))[0]
+    return power_many(fixed @ stack if fixed_on_left else stack @ fixed)[0]
 
 
 def _best_response(
@@ -165,7 +152,7 @@ def _best_response(
     shapes = (mset.shape, fixed.shape)
     _check_pairing(*(shapes if minimize else shapes[::-1]))
     members = mset.stack(cap)
-    rho = _radii(fixed, members, fixed_on_left=not minimize)
+    rho = _radii(fixed.data, members, fixed_on_left=not minimize)
     best = int(rho.argmin() if minimize else rho.argmax())
     return Matrix(members[best]), float(rho[best])
 
@@ -194,12 +181,7 @@ def _assemble(row_sets: tuple[np.ndarray, ...], picks: list[int]) -> np.ndarray:
 
 
 def _greedy_rows(
-    fixed: np.ndarray,
-    row_sets: tuple[np.ndarray, ...],
-    picks: list[int],
-    minimize: bool,
-    tol: float,
-    max_iter: int,
+    fixed: np.ndarray, row_sets: tuple[np.ndarray, ...], picks: list[int], minimize: bool
 ) -> tuple[list[int], np.ndarray, PerronData] | None:
     """Greedy row selection for rho(X fixed) (minimize) or rho(fixed X).
 
@@ -211,12 +193,12 @@ def _greedy_rows(
     is an exact best response.  Returns (picks, X, Perron data of the
     product), or None when the picks do not settle in IRU_MAX_ROUNDS passes
     or a power iteration does not converge: its vector gives no valid step,
-    and each such iteration runs the full ``max_iter``.
+    and each such iteration runs the kernel's full step budget.
     """
     for _ in range(IRU_MAX_ROUNDS):
         x = _assemble(row_sets, picks)
         product = x @ fixed if minimize else fixed @ x
-        perron = spectral_radius(Matrix(product), tol=tol, max_iter=max_iter)
+        perron = PerronData.of(power_many(product[None]), 0)
         if not perron.converged:
             return None
         target = fixed @ perron.vector if minimize else perron.vector
@@ -246,9 +228,7 @@ def best_response_rows(
     shapes = (iru_set.shape, fixed.shape)
     _check_pairing(*(shapes if minimize else shapes[::-1]))
     start = [0] * len(iru_set.row_sets)
-    found = _greedy_rows(
-        fixed.data, iru_set.row_sets, start, minimize, DEFAULT_TOL, DEFAULT_MAX_ITER
-    )
+    found = _greedy_rows(fixed.data, iru_set.row_sets, start, minimize)
     if found is None:
         return None
     _, x, perron = found
@@ -273,33 +253,26 @@ def _saddle_result(
 
 
 def solve_saddle(
-    a_set: MatrixSet,
-    b_set: MatrixSet,
-    cap: int = DEFAULT_CAP,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    a_set: MatrixSet, b_set: MatrixSet, cap: int = DEFAULT_CAP
 ) -> SaddleResult:
     """Exhaustive saddle-point computation over two enumerable sets.
 
     b_tilde maximizes the column minimum m(B) = min_A rho(A B) and a_tilde
     is the minimizing response to it; ties break to the earliest
     enumeration index.  minmax is the transposed reduction min_A max_B.
-    The dominant eigenvector v of a_tilde b_tilde and w = b_tilde v are
-    attached for certification.
+    The Perron data of a_tilde b_tilde is the table's own cell, so
+    value == maxmin exactly; its dominant eigenvector v and w = b_tilde v
+    are attached for certification.
     """
     stack_a, stack_b = a_set.stack(cap), b_set.stack(cap)
-    table, _ = product_table(stack_a, stack_b, cap, tol, max_iter)
-    minmax, maxmin, i, j = reduce_table(table)
-    perron = spectral_radius(Matrix(stack_a[i] @ stack_b[j]), tol=tol, max_iter=max_iter)
+    kernel = product_table(stack_a, stack_b, cap)
+    minmax, maxmin, i, j = reduce_table(kernel[0])
+    perron = PerronData.of(kernel, (i, j))
     return _saddle_result(stack_a[i], stack_b[j], perron, minmax, maxmin)
 
 
 def solve_saddle_iru(
-    a_set: IRUSet,
-    b_set: IRUSet,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    certificate_tol: float = CERTIFICATE_TOL,
+    a_set: IRUSet, b_set: IRUSet, certificate_tol: float = CERTIFICATE_TOL
 ) -> SaddleResult | None:
     """Saddle of two IRU sets by alternating greedy best responses.
 
@@ -321,11 +294,11 @@ def solve_saddle_iru(
     picks_b = [0] * len(b_set.row_sets)
     b = _assemble(b_set.row_sets, picks_b)
     for _ in range(IRU_MAX_ROUNDS):
-        found = _greedy_rows(b, a_set.row_sets, picks_a, True, tol, max_iter)
+        found = _greedy_rows(b, a_set.row_sets, picks_a, True)
         if found is None:
             return None
         picks_a, a, _ = found
-        found = _greedy_rows(a, b_set.row_sets, picks_b, False, tol, max_iter)
+        found = _greedy_rows(a, b_set.row_sets, picks_b, False)
         if found is None:
             return None
         settled = found[0] == picks_b
@@ -425,6 +398,6 @@ def check_saddle_hull_samples(
     rng = np.random.default_rng(seed)
     b_samples = draw_hull_samples(b_set, n, rng, cap)
     a_samples = draw_hull_samples(a_set, n, rng, cap)
-    rho_b = _radii(result.a_tilde, b_samples, fixed_on_left=True)
-    rho_a = _radii(result.b_tilde, a_samples, fixed_on_left=False)
+    rho_b = _radii(result.a_tilde.data, b_samples, fixed_on_left=True)
+    rho_a = _radii(result.b_tilde.data, a_samples, fixed_on_left=False)
     return bool((rho_b <= result.value + tol).all() and (rho_a >= result.value - tol).all())

@@ -209,10 +209,20 @@ class IRUSet(MatrixSet):
         return card
 
     def take(self, indices, cap: int = DEFAULT_CAP) -> np.ndarray:
-        """Members gathered row by row, never enumerating the set."""
-        self.count(cap)
-        choices = np.unravel_index(indices, [rs.shape[0] for rs in self._row_sets])
-        return np.stack([rs[c] for rs, c in zip(self._row_sets, choices)], axis=-2)
+        """Members gathered row by row, never enumerating the set.
+
+        Index k picks the rows given by its mixed-radix digits over the
+        row-set sizes, last row fastest (enumeration order).
+        """
+        count = self.count(cap)
+        rest = np.asarray(indices)
+        if ((rest < 0) | (rest >= count)).any():
+            raise ValueError(f"member index out of range for {count} members")
+        rows = []
+        for rs in reversed(self._row_sets):
+            rest, pick = np.divmod(rest, len(rs))
+            rows.append(rs[pick])
+        return np.stack(rows[::-1], axis=-2)
 
     def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
         return readonly(self.take(np.arange(self.count(cap)), cap))
@@ -515,6 +525,12 @@ def random_iru_set(
     """Random IRU set with positive uniform entries; used by sweeps."""
     sizes = rng.integers(1, max_rows_per_set + 1, size=rows)
     return IRUSet([rng.uniform(low, high, size=(int(k), cols)) for k in sizes])
+
+
+def random_iru_pair(rng: np.random.Generator) -> tuple[IRUSet, IRUSet]:
+    """Random IRU sets A (n x m) and B (m x n): n, m uniform on {2, 3}, then A, then B."""
+    n, m = (int(x) for x in rng.integers(2, 4, size=2))
+    return random_iru_set(rng, n, m), random_iru_set(rng, m, n)
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -20,6 +20,7 @@ from hourglass import (
     minimax_table,
     minkowski_product,
     minkowski_sum,
+    random_iru_pair,
     random_iru_set,
     solve_saddle,
     spectral_radius,
@@ -47,9 +48,7 @@ def sweep():
     t0 = time.perf_counter()
     solved = []
     for _ in range(SWEEP_PAIRS):
-        n, m = (int(x) for x in rng.integers(2, 4, size=2))
-        a_set = random_iru_set(rng, n, m, max_rows_per_set=3)
-        b_set = random_iru_set(rng, m, n, max_rows_per_set=3)
+        a_set, b_set = random_iru_pair(rng)
         solved.append((a_set, b_set, solve_saddle(a_set, b_set)))
     elapsed = time.perf_counter() - t0
     return solved, elapsed

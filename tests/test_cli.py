@@ -315,6 +315,24 @@ def test_iru_saddle_ignores_the_cap_until_it_enumerates(files, capsys):
     assert "cap" in report["error"]["message"]
 
 
+def test_saddle_hull_samples_beyond_64_row_sets(tmp_path, capsys):
+    # A has 70 singleton row sets, so each hull draw gathers 70 rows
+    rng = np.random.default_rng(70)
+    sets = {
+        "a": {"kind": "iru", "row_sets": rng.uniform(0.1, 1, size=(70, 1, 2)).tolist()},
+        "b": {"kind": "iru", "row_sets": rng.uniform(0.1, 1, size=(2, 2, 70)).tolist()},
+    }
+    paths = []
+    for name, obj in sets.items():
+        p = tmp_path / f"{name}70.json"
+        p.write_text(json.dumps(obj))
+        paths.append(str(p))
+    code, report = run_cli(capsys, "saddle", *paths, "--certify", "--hull-samples", "5")
+    assert code == 0
+    assert report["certificate"]["valid"] is True
+    assert report["hull_check"] is True
+
+
 def test_expr_sets_are_evaluated_once_per_invocation(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(3)
     paths = []

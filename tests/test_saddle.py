@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+import hourglass.linalg
+import hourglass.saddle
 from hourglass import (
     CapExceededError,
+    ExprSet,
     FiniteSet,
     IRUSet,
+    Leaf,
     Matrix,
+    Scale,
     ShapeError,
+    Sum,
     best_response_max,
     best_response_min,
     best_response_rows,
@@ -187,6 +193,43 @@ def test_solve_saddle_random_iru_pair_has_no_gap(rng):
         assert np.allclose(result.w, result.b_tilde.data @ result.perron.vector)
 
 
+def test_solve_saddle_takes_its_pair_from_the_table(rng, monkeypatch):
+    # The saddle cell's Perron data is the table's own entry, so value is
+    # maxmin to the last bit and equals a single solve of a_tilde b_tilde
+    # field by field; the kernel runs once per solve, in either module.
+    calls = []
+    for module in (hourglass.saddle, hourglass.linalg):
+        def counted(*args, _kernel=module.power_many, **kwargs):
+            calls.append(1)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, "power_many", counted)
+    pairs = []
+    for _ in range(30):
+        n, m = (int(x) for x in rng.integers(2, 5, size=2))
+        a = random_finite_set(rng, n, m, int(rng.integers(2, 6)), zero_prob=0.25)
+        b = random_finite_set(rng, m, n, int(rng.integers(2, 6)), zero_prob=0.25)
+        pairs.append((a, b))
+    for _ in range(10):
+        n, m = (int(x) for x in rng.integers(2, 5, size=2))
+        a = random_finite_set(rng, n, m, int(rng.integers(2, 5)), zero_prob=0.25)
+        left, right = (
+            random_finite_set(rng, m, n, int(rng.integers(1, 4)), zero_prob=0.25)
+            for _ in range(2)
+        )
+        pairs.append((a, ExprSet(Sum(Leaf(left), Scale(0.5, Leaf(right))))))
+    for a, b in pairs:
+        calls.clear()
+        result = solve_saddle(a, b)
+        assert len(calls) == 1
+        assert result.value == result.maxmin
+        oracle = spectral_radius(mat_mul(result.a_tilde, result.b_tilde))
+        assert result.perron.rho == oracle.rho
+        assert np.array_equal(result.perron.vector, oracle.vector)
+        assert result.perron.iterations == oracle.iterations
+        assert result.perron.converged == oracle.converged
+
+
 def test_solve_saddle_minkowski_closures_have_no_gap(rng):
     # sums and products of positive IRU sets stay inside the class with a
     # saddle, so the exhaustive tables must still show exact equality
@@ -258,7 +301,7 @@ def test_solve_saddle_iru_declines_degenerate_pairs():
     # a cyclic product never converges, so no greedy step is trustworthy
     cyclic = IRUSet([[[0.0, 0.0807]], [[0.4218, 0.0]]])
     identity = IRUSet([[[1.0, 0.0]], [[0.0, 1.0]]])
-    assert solve_saddle_iru(cyclic, identity, max_iter=500) is None
+    assert solve_saddle_iru(cyclic, identity) is None
 
 
 def test_solve_saddle_iru_far_beyond_the_cap():

@@ -25,6 +25,8 @@ from hourglass import (
     hausdorff_distance,
     minkowski_product,
     minkowski_sum,
+    random_iru_pair,
+    random_iru_set,
     scale_set,
     set_from_json,
     set_to_json,
@@ -342,6 +344,32 @@ def test_iru_take_matches_a_product_oracle(rng):
     assert np.array_equal(iru.take(picks), oracle[picks])
     assert np.array_equal(iru.stack(), oracle)
     assert np.array_equal(FiniteSet(iru.members()).take(picks), oracle[picks])
+
+
+def test_iru_take_beyond_64_row_sets_matches_a_product_oracle(rng):
+    # one index digit per row set: numpy arrays stop at 64 dimensions, the
+    # mixed-radix gather does not
+    sizes = [1] * 70
+    sizes[3], sizes[40], sizes[69] = 2, 3, 2
+    row_sets = [rng.uniform(0, 1, size=(k, 2)) for k in sizes]
+    iru = IRUSet(row_sets)
+    oracle = np.array([np.stack(rows) for rows in itertools.product(*row_sets)])
+    assert len(oracle) == 12
+    picks = rng.integers(0, len(oracle), size=(5, 4))
+    assert np.array_equal(iru.take(picks), oracle[picks])
+    assert np.array_equal(iru.stack(), oracle)
+    for bad in ([12], [-1]):
+        with pytest.raises(ValueError):
+            iru.take(bad)
+
+
+def test_random_iru_pair_draws_dimensions_then_a_then_b():
+    drawn = random_iru_pair(np.random.default_rng(7))
+    rng = np.random.default_rng(7)
+    n, m = int(rng.integers(2, 4)), int(rng.integers(2, 4))
+    expected = (random_iru_set(rng, n, m, 3), random_iru_set(rng, m, n, 3))
+    for got, want in zip(drawn, expected):
+        assert np.array_equal(got.stack(), want.stack())
 
 
 def test_iru_take_gathers_beyond_the_default_cap_without_enumerating(monkeypatch):
