@@ -42,10 +42,8 @@ from .saddle import (
 from .sets import (
     DEDUP_TOL,
     DEFAULT_CAP,
-    ExprSet,
     FiniteSet,
     IRUSet,
-    Leaf,
     LinearlyOrderedSet,
     MatrixSet,
     Product,
@@ -53,13 +51,9 @@ from .sets import (
     Sum,
     convex_hull_iru,
     convex_hull_sample,
-    eval_expr,
     hausdorff_distance,
-    minkowski_product,
-    minkowski_sum,
     random_iru_pair,
     random_iru_set,
-    scale_set,
     set_from_json,
     set_to_json,
     transpose_set,
@@ -75,13 +69,11 @@ __all__ = [
     "Certificate",
     "DEDUP_TOL",
     "DEFAULT_CAP",
-    "ExprSet",
     "FiniteSet",
     "HourglassError",
     "HourglassReport",
     "HsetCheckResult",
     "IRUSet",
-    "Leaf",
     "LinearlyOrderedSet",
     "Matrix",
     "MatrixSet",
@@ -103,15 +95,11 @@ __all__ = [
     "collatz_wielandt_upper",
     "convex_hull_iru",
     "convex_hull_sample",
-    "eval_expr",
     "hausdorff_distance",
     "mat_mul",
     "minimax_table",
-    "minkowski_product",
-    "minkowski_sum",
     "random_iru_pair",
     "random_iru_set",
-    "scale_set",
     "set_from_json",
     "set_to_json",
     "solve_saddle",

@@ -67,6 +67,8 @@ def _load_json(path: str):
         raise ParseError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}", exc.msg) from exc
+    except RecursionError as exc:
+        raise ParseError(path, "JSON nesting is too deep") from exc
 
 
 def _load_set(path: str) -> MatrixSet:
@@ -303,6 +305,9 @@ def main(argv=None) -> int:
             raise ParseError("--cap", "cap must be at least 1")
         if not args.tol > 0:
             raise ParseError("--tol", "tolerance must be positive")
+        for count in ("trials", "hull_samples", "probes"):
+            if getattr(args, count, 0) < 0:
+                raise ParseError("--" + count.replace("_", "-"), "must not be negative")
         if args.cap is None:
             args.cap = _env_cap()
         code, report = args.run(args)

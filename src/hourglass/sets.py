@@ -1,17 +1,20 @@
 """Compact matrix sets and their algebra: finite lists, linearly ordered
-chains, independent row uncertainty (IRU) sets, Minkowski-polynomial
-expressions, convex-hull helpers, and the Hausdorff metric.
+chains, independent row uncertainty (IRU) sets, the Minkowski nodes
+``Sum``, ``Product`` and ``Scale``, convex-hull helpers, and the Hausdorff
+metric.
 
-Set values are immutable and enumeration is deterministic: finite sets keep
-construction order, IRU sets walk row choices in row-major order (the last
-row's choice varies fastest), and the Minkowski operations pair members
-left-major with first-occurrence deduplication.
+Every set, a Minkowski node included, is a :class:`MatrixSet`, so nodes
+take any sets as operands and nest into expression trees.  Set values are
+immutable and enumeration is deterministic: finite sets keep construction
+order, IRU sets walk row choices in row-major order (the last row's choice
+varies fastest), and the Minkowski nodes pair members left-major with
+first-occurrence deduplication.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import ClassVar, Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -233,14 +236,6 @@ class IRUSet(MatrixSet):
         return f"IRUSet(shape {n}x{m}, row-set sizes {sizes})"
 
 
-def _pair_stacks(
-    left: "PolyExpr", right: "PolyExpr", cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    arr_l, arr_r = left.stack(cap), right.stack(cap)
-    _check_cap(len(arr_l) * len(arr_r), cap)
-    return arr_l, arr_r
-
-
 def _node_result(arr: np.ndarray, dedup: bool) -> np.ndarray:
     """Validate a node's stack once and drop near-duplicates if asked."""
     if not np.isfinite(arr).all():
@@ -250,31 +245,50 @@ def _node_result(arr: np.ndarray, dedup: bool) -> np.ndarray:
     return readonly(arr)
 
 
-class Leaf:
-    """Expression leaf wrapping an existing matrix set."""
+class _ExprNode(MatrixSet):
+    """A Minkowski operation on matrix-set operands, itself a matrix set.
 
-    __slots__ = ("base",)
+    Evaluation is bottom-up on member stacks and never distributes products
+    over sums; the two orders genuinely differ as sets.  The evaluated stack
+    is kept for the last ``cap``, so a subtree shared by two parents is
+    evaluated once per cap; another cap re-evaluates, and with it re-checks
+    the cap at every node below.
+    """
 
-    def __init__(self, base: MatrixSet):
-        if not isinstance(base, MatrixSet):
-            raise TypeError("Leaf expects a MatrixSet")
-        self.base = base
+    kind = "expr"
+    __slots__ = ("_operands", "_evaluated")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.base.shape
+    def __init__(self, *operands: MatrixSet):
+        for operand in operands:
+            if not isinstance(operand, MatrixSet):
+                raise TypeError(
+                    f"{type(self).__name__} expects MatrixSet operands, "
+                    f"got {type(operand).__name__}"
+                )
+        self._operands = operands
+        self._evaluated: tuple[int, np.ndarray] | None = None
 
     def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
-        """The wrapped set's members, in its enumeration order."""
-        return self.base.stack(cap)
+        if self._evaluated is None or self._evaluated[0] != cap:
+            # A plain loop keeps one interpreter frame per tree level.
+            stacks = []
+            for operand in self._operands:
+                stacks.append(operand.stack(cap))
+            self._evaluated = (cap, self._combine(cap, *stacks))
+        return self._evaluated[1]
+
+    @abc.abstractmethod
+    def _combine(self, cap: int, *stacks: np.ndarray) -> np.ndarray:
+        """The node's member stack from its operands' stacks, in operand order."""
 
 
-class Sum:
-    """Minkowski sum of two sub-expressions of equal shape."""
+class Sum(_ExprNode):
+    """Minkowski sum {A + B : A in left, B in right} of equally shaped sets."""
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: "PolyExpr", right: "PolyExpr"):
+    def __init__(self, left: MatrixSet, right: MatrixSet):
+        super().__init__(left, right)
         if left.shape != right.shape:
             raise ShapeError(
                 f"sum operands must share a shape, got {left.shape} and {right.shape}"
@@ -286,19 +300,20 @@ class Sum:
     def shape(self) -> tuple[int, int]:
         return self.left.shape
 
-    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+    def _combine(self, cap: int, arr_l: np.ndarray, arr_r: np.ndarray) -> np.ndarray:
         """Pairwise sums, left-major, deduplicated within DEDUP_TOL."""
-        arr_l, arr_r = _pair_stacks(self.left, self.right, cap)
+        _check_cap(len(arr_l) * len(arr_r), cap)
         sums = arr_l[:, None, :, :] + arr_r[None, :, :, :]
         return _node_result(sums.reshape(-1, *self.shape), dedup=True)
 
 
-class Product:
-    """Minkowski product; the left factor's cols must match the right's rows."""
+class Product(_ExprNode):
+    """Minkowski product {A B : A in left, B in right}; left cols match right rows."""
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: "PolyExpr", right: "PolyExpr"):
+    def __init__(self, left: MatrixSet, right: MatrixSet):
+        super().__init__(left, right)
         if left.shape[1] != right.shape[0]:
             raise ShapeError(
                 f"product operands have mismatched inner dimensions: "
@@ -311,19 +326,20 @@ class Product:
     def shape(self) -> tuple[int, int]:
         return (self.left.shape[0], self.right.shape[1])
 
-    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
+    def _combine(self, cap: int, arr_l: np.ndarray, arr_r: np.ndarray) -> np.ndarray:
         """Pairwise products, left-major, deduplicated within DEDUP_TOL."""
-        arr_l, arr_r = _pair_stacks(self.left, self.right, cap)
+        _check_cap(len(arr_l) * len(arr_r), cap)
         prods = np.einsum("aij,bjk->abik", arr_l, arr_r)
         return _node_result(prods.reshape(-1, *self.shape), dedup=True)
 
 
-class Scale:
-    """Positive scalar multiple of a sub-expression."""
+class Scale(_ExprNode):
+    """{t A : A in child} for a finite t > 0; the cardinality is preserved."""
 
     __slots__ = ("t", "child")
 
-    def __init__(self, t: float, child: "PolyExpr"):
+    def __init__(self, t: float, child: MatrixSet):
+        super().__init__(child)
         t = float(t)
         if not np.isfinite(t) or t <= 0:
             raise ValueError("scale factor must be a finite number > 0")
@@ -334,68 +350,8 @@ class Scale:
     def shape(self) -> tuple[int, int]:
         return self.child.shape
 
-    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
-        """Every member scaled by ``t``; the cardinality is preserved."""
-        return _node_result(self.t * self.child.stack(cap), dedup=False)
-
-
-PolyExpr = Union[Leaf, Sum, Product, Scale]
-
-
-class ExprSet(MatrixSet):
-    """Matrix set defined by a Minkowski-polynomial expression tree.
-
-    Evaluation is bottom-up on member stacks and never distributes products
-    over sums; the two orders genuinely differ as sets.
-    """
-
-    kind = "expr"
-    __slots__ = ("_expr", "_evaluated")
-
-    def __init__(self, expr: PolyExpr):
-        if not isinstance(expr, (Leaf, Sum, Product, Scale)):
-            raise TypeError("ExprSet expects a PolyExpr node")
-        self._expr = expr
-        self._evaluated: tuple[int, np.ndarray] | None = None
-
-    @property
-    def expr(self) -> PolyExpr:
-        return self._expr
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self._expr.shape
-
-    def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
-        """The evaluated tree, kept for the last ``cap``; another cap re-evaluates."""
-        if self._evaluated is None or self._evaluated[0] != cap:
-            self._evaluated = (cap, self._expr.stack(cap))
-        return self._evaluated[1]
-
-
-def eval_expr(expr: PolyExpr, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """Evaluate an expression tree bottom-up into a finite set.
-
-    Products are never distributed over sums; each node materializes its
-    operands and applies the corresponding Minkowski operation, subject to
-    the cardinality cap.
-    """
-    return FiniteSet._of_stack(ExprSet(expr).stack(cap))
-
-
-def minkowski_sum(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """{A + B : A in a, B in b}, deduplicated within DEDUP_TOL."""
-    return eval_expr(Sum(Leaf(a), Leaf(b)), cap)
-
-
-def minkowski_product(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """{A B : A in a, B in b}, deduplicated within DEDUP_TOL."""
-    return eval_expr(Product(Leaf(a), Leaf(b)), cap)
-
-
-def scale_set(t: float, a: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """{t A : A in a} for t > 0; the cardinality is preserved."""
-    return eval_expr(Scale(t, Leaf(a)), cap)
+    def _combine(self, cap: int, arr: np.ndarray) -> np.ndarray:
+        return _node_result(self.t * arr, dedup=False)
 
 
 def transpose_set(a: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
@@ -548,29 +504,28 @@ def set_to_json(mset: MatrixSet) -> dict:
             "kind": "iru",
             "row_sets": [rs.tolist() for rs in mset.row_sets],
         }
-    if isinstance(mset, ExprSet):
-        return {"kind": "expr", "expr": _expr_to_json(mset.expr)}
+    if isinstance(mset, _ExprNode):
+        return {"kind": "expr", "expr": _expr_to_json(mset)}
     raise TypeError(f"not a MatrixSet: {type(mset).__name__}")
 
 
-def _expr_to_json(expr: PolyExpr) -> dict:
-    if isinstance(expr, Leaf):
-        return {"op": "leaf", "set": set_to_json(expr.base)}
-    if isinstance(expr, Sum):
+def _expr_to_json(mset: MatrixSet) -> dict:
+    """A node as its op; any other set as a leaf around its own wire form."""
+    if isinstance(mset, Sum):
         return {
             "op": "sum",
-            "left": _expr_to_json(expr.left),
-            "right": _expr_to_json(expr.right),
+            "left": _expr_to_json(mset.left),
+            "right": _expr_to_json(mset.right),
         }
-    if isinstance(expr, Product):
+    if isinstance(mset, Product):
         return {
             "op": "prod",
-            "left": _expr_to_json(expr.left),
-            "right": _expr_to_json(expr.right),
+            "left": _expr_to_json(mset.left),
+            "right": _expr_to_json(mset.right),
         }
-    if isinstance(expr, Scale):
-        return {"op": "scale", "t": expr.t, "child": _expr_to_json(expr.child)}
-    raise TypeError(f"not a PolyExpr node: {type(expr).__name__}")
+    if isinstance(mset, Scale):
+        return {"op": "scale", "t": mset.t, "child": _expr_to_json(mset.child)}
+    return {"op": "leaf", "set": set_to_json(mset)}
 
 
 def _matrices_from_json(obj: dict, location: str) -> list[Matrix]:
@@ -598,7 +553,7 @@ def set_from_json(obj, location: str = "$") -> MatrixSet:
                 raise ParseError(f"{location}.row_sets", "expected a non-empty list")
             return IRUSet(row_sets)
         if kind == "expr":
-            return ExprSet(_expr_from_json(obj.get("expr"), f"{location}.expr"))
+            return _expr_from_json(obj.get("expr"), f"{location}.expr")
     except (ValueError, TypeError, ShapeError) as exc:
         raise ParseError(location, str(exc)) from exc
     raise ParseError(
@@ -606,13 +561,14 @@ def set_from_json(obj, location: str = "$") -> MatrixSet:
     )
 
 
-def _expr_from_json(obj, location: str) -> PolyExpr:
+def _expr_from_json(obj, location: str) -> MatrixSet:
+    """An expression node; a leaf is the set it holds."""
     if not isinstance(obj, dict):
         raise ParseError(location, "expected an expression node")
     op = obj.get("op")
     try:
         if op == "leaf":
-            return Leaf(set_from_json(obj.get("set"), f"{location}.set"))
+            return set_from_json(obj.get("set"), f"{location}.set")
         if op in ("sum", "prod"):
             left = _expr_from_json(obj.get("left"), f"{location}.left")
             right = _expr_from_json(obj.get("right"), f"{location}.right")

@@ -11,6 +11,8 @@ import pytest
 
 from hourglass import (
     Matrix,
+    Product,
+    Sum,
     certify_saddle,
     check_hset_sampled,
     check_saddle_hull_samples,
@@ -18,8 +20,6 @@ from hourglass import (
     collatz_wielandt_upper,
     hausdorff_distance,
     minimax_table,
-    minkowski_product,
-    minkowski_sum,
     random_iru_pair,
     random_iru_set,
     solve_saddle,
@@ -111,9 +111,9 @@ def test_criterion_4_hourglass_alternative():
         n, m, q = (int(x) for x in rng.integers(2, 4, size=3))
         a_set = random_iru_set(rng, n, m, max_rows_per_set=2)
         if trial % 2:
-            combined = minkowski_sum(a_set, random_iru_set(rng, n, m, 2))
+            combined = Sum(a_set, random_iru_set(rng, n, m, 2))
         else:
-            combined = minkowski_product(a_set, random_iru_set(rng, m, q, 2))
+            combined = Product(a_set, random_iru_set(rng, m, q, 2))
         algebra_ok &= check_hset_sampled(combined, n_probes=50, rng_seed=trial).passed
 
     outcome = check_hset_sampled(ex4_set(), n_probes=50, rng_seed=0)

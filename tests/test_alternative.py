@@ -8,10 +8,10 @@ from hourglass import (
     IRUSet,
     LinearlyOrderedSet,
     Matrix,
+    Product,
+    Sum,
     check_hourglass_at,
     check_hset_sampled,
-    minkowski_product,
-    minkowski_sum,
     random_iru_set,
 )
 
@@ -107,8 +107,8 @@ def test_sampled_check_passes_on_minkowski_closures(rng):
     for trial in range(6):
         n, m, q = (int(x) for x in rng.integers(2, 4, size=3))
         a = random_iru_set(rng, n, m, 2)
-        summed = minkowski_sum(a, random_iru_set(rng, n, m, 2))
-        produced = minkowski_product(a, random_iru_set(rng, m, q, 2))
+        summed = Sum(a, random_iru_set(rng, n, m, 2))
+        produced = Product(a, random_iru_set(rng, m, q, 2))
         assert check_hset_sampled(summed, 25, rng_seed=trial).passed
         assert check_hset_sampled(produced, 25, rng_seed=trial).passed
 
@@ -181,10 +181,10 @@ def test_sampled_check_matches_a_loop_over_single_probes(rng):
             sets.append(random_finite_set(rng, n, m, int(rng.integers(2, 8)), zero_prob=0.5))
         elif trial % 3 == 1:
             a = random_iru_set(rng, n, m, 2)
-            sets.append(minkowski_product(a, random_finite_set(rng, m, n, 2, zero_prob=0.4)))
+            sets.append(Product(a, random_finite_set(rng, m, n, 2, zero_prob=0.4)))
         else:
             a = random_iru_set(rng, n, m, 2)
-            sets.append(minkowski_sum(a, random_finite_set(rng, n, m, 2, zero_prob=0.4)))
+            sets.append(Sum(a, random_finite_set(rng, n, m, 2, zero_prob=0.4)))
     compared = 0
     for seed, mset in enumerate(sets):
         got = check_hset_sampled(mset, 8, rng_seed=seed).failures

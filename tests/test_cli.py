@@ -10,7 +10,7 @@ from hourglass.cli import main
 
 from helpers import ex4_set
 
-from hourglass import ExprSet, FiniteSet, Leaf, Matrix, Scale, Sum, set_to_json
+from hourglass import FiniteSet, Matrix, Scale, Sum, set_to_json
 
 
 @pytest.fixture
@@ -182,6 +182,30 @@ def test_schema_error_reports_path(files, tmp_path, capsys):
     assert "matrices" in report["error"]["location"]
 
 
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, report = run_cli(capsys, "algebra", str(p))
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert report["error"]["location"] == str(p)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["batch", "--trials", "-3"], "--trials"),
+        (["saddle", "a.json", "b.json", "--hull-samples", "-4"], "--hull-samples"),
+        (["hset-check", "s.json", "--probes", "-1"], "--probes"),
+    ],
+)
+def test_negative_counts_are_parse_errors(argv, flag, capsys):
+    code, report = run_cli(capsys, *argv)
+    assert code == 2
+    assert report["error"]["kind"] == "parse"
+    assert report["error"]["location"] == flag
+
+
 def test_cap_exceeded_is_an_input_error(files, capsys, monkeypatch):
     code, report = run_cli(
         capsys,
@@ -245,7 +269,7 @@ def test_hausdorff_pair_cap_is_an_input_error(tmp_path, capsys):
 
 def test_algebra_overflow_is_an_input_error(tmp_path, capsys):
     p = tmp_path / "overflow.json"
-    overflow = ExprSet(Scale(1e300, Leaf(FiniteSet([Matrix([[1e10]])]))))
+    overflow = Scale(1e300, FiniteSet([Matrix([[1e10]])]))
     p.write_text(json.dumps(set_to_json(overflow)))
     with np.errstate(over="ignore"):
         code, report = run_cli(capsys, "algebra", str(p))
@@ -340,16 +364,16 @@ def test_expr_sets_are_evaluated_once_per_invocation(tmp_path, capsys, monkeypat
         leaves = [FiniteSet([Matrix(rng.uniform(0.1, 1, size=(2, 2))) for _ in range(2)])
                   for _ in range(2)]
         path = tmp_path / name
-        path.write_text(json.dumps(set_to_json(ExprSet(Sum(*map(Leaf, leaves))))))
+        path.write_text(json.dumps(set_to_json(Sum(*leaves))))
         paths.append(str(path))
     evaluations = []
-    evaluate = Sum.stack
+    combine = Sum._combine
 
-    def counting(self, cap):
+    def counting(self, cap, *stacks):
         evaluations.append(cap)
-        return evaluate(self, cap)
+        return combine(self, cap, *stacks)
 
-    monkeypatch.setattr(Sum, "stack", counting)
+    monkeypatch.setattr(Sum, "_combine", counting)
     for argv in (["saddle", "--certify", "--hull-samples", "10"], ["saddle", "--certify"],
                  ["minimax"]):
         evaluations.clear()

@@ -7,11 +7,10 @@ import hourglass.linalg
 import hourglass.saddle
 from hourglass import (
     CapExceededError,
-    ExprSet,
     FiniteSet,
     IRUSet,
-    Leaf,
     Matrix,
+    Product,
     Scale,
     ShapeError,
     Sum,
@@ -217,7 +216,7 @@ def test_solve_saddle_takes_its_pair_from_the_table(rng, monkeypatch):
             random_finite_set(rng, m, n, int(rng.integers(1, 4)), zero_prob=0.25)
             for _ in range(2)
         )
-        pairs.append((a, ExprSet(Sum(Leaf(left), Scale(0.5, Leaf(right))))))
+        pairs.append((a, Sum(left, Scale(0.5, right))))
     for a, b in pairs:
         calls.clear()
         result = solve_saddle(a, b)
@@ -233,16 +232,10 @@ def test_solve_saddle_takes_its_pair_from_the_table(rng, monkeypatch):
 def test_solve_saddle_minkowski_closures_have_no_gap(rng):
     # sums and products of positive IRU sets stay inside the class with a
     # saddle, so the exhaustive tables must still show exact equality
-    from hourglass import minkowski_product, minkowski_sum
-
     for _ in range(6):
         n, m = (int(x) for x in rng.integers(2, 4, size=2))
-        a_sum = minkowski_sum(
-            random_iru_set(rng, n, m, 2), random_iru_set(rng, n, m, 2)
-        )
-        b_prod = minkowski_product(
-            random_iru_set(rng, m, 2, 2), random_iru_set(rng, 2, n, 2)
-        )
+        a_sum = Sum(random_iru_set(rng, n, m, 2), random_iru_set(rng, n, m, 2))
+        b_prod = Product(random_iru_set(rng, m, 2, 2), random_iru_set(rng, 2, n, 2))
         result = solve_saddle(a_sum, b_prod)
         assert abs(result.gap) <= 1e-9
 

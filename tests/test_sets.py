@@ -2,18 +2,18 @@
 
 import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
 
 from hourglass import (
     CapExceededError,
-    ExprSet,
     FiniteSet,
     IRUSet,
-    Leaf,
     LinearlyOrderedSet,
     Matrix,
+    MatrixSet,
     ParseError,
     Product,
     Scale,
@@ -21,13 +21,9 @@ from hourglass import (
     Sum,
     convex_hull_iru,
     convex_hull_sample,
-    eval_expr,
     hausdorff_distance,
-    minkowski_product,
-    minkowski_sum,
     random_iru_pair,
     random_iru_set,
-    scale_set,
     set_from_json,
     set_to_json,
     transpose_set,
@@ -111,113 +107,107 @@ def test_example4_enumerates_two_members(ex4):
 
 def test_minkowski_sum_singletons():
     i2 = diag(1.0, 1.0)
-    out = minkowski_sum(FiniteSet([i2]), FiniteSet([i2]))
+    out = Sum(FiniteSet([i2]), FiniteSet([i2]))
     assert sets_equal(out, FiniteSet([diag(2.0, 2.0)]))
 
 
 def test_minkowski_sum_example4_has_three_members(ex4):
-    out = minkowski_sum(ex4, ex4)
-    assert len(out) == 3
+    out = Sum(ex4, ex4)
+    assert out.count() == 3
     expected = FiniteSet([diag(2.0, 0.0), diag(1.0, 1.0), diag(0.0, 2.0)])
     assert sets_equal(out, expected)
     # and differs from plain scaling: A + A != 2A
-    assert len(scale_set(2.0, ex4)) == 2
+    assert Scale(2.0, ex4).count() == 2
 
 
 def test_minkowski_sum_zero_is_neutral(ex4):
     zero = FiniteSet([Matrix(np.zeros((2, 2)))])
-    assert sets_equal(minkowski_sum(zero, ex4), ex4)
+    assert sets_equal(Sum(zero, ex4), ex4)
 
 
 def test_minkowski_sum_shape_mismatch(ex4):
     with pytest.raises(ShapeError):
-        minkowski_sum(ex4, FiniteSet([Matrix([[1.0]])]))
+        Sum(ex4, FiniteSet([Matrix([[1.0]])]))
 
 
 def test_minkowski_product_identity_is_neutral(ex4):
     identity = FiniteSet([diag(1.0, 1.0)])
-    assert sets_equal(minkowski_product(identity, ex4), ex4)
+    assert sets_equal(Product(identity, ex4), ex4)
 
 
 def test_minkowski_product_example4(ex4):
-    out = minkowski_product(ex4, ex4)
+    out = Product(ex4, ex4)
     expected = FiniteSet([diag(1.0, 0.0), diag(0.0, 1.0), Matrix(np.zeros((2, 2)))])
-    assert len(out) == 3
+    assert out.count() == 3
     assert sets_equal(out, expected)
 
 
 def test_minkowski_product_singletons():
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
     b = Matrix([[0.0, 1.0], [1.0, 1.0]])
-    out = minkowski_product(FiniteSet([a]), FiniteSet([b]))
+    out = Product(FiniteSet([a]), FiniteSet([b]))
     assert sets_equal(out, FiniteSet([a @ b]))
 
 
 def test_minkowski_product_inner_dimension_mismatch():
     a = FiniteSet([Matrix(np.ones((2, 3)))])
     with pytest.raises(ShapeError):
-        minkowski_product(a, a)
+        Product(a, a)
 
 
 def test_scale_set_examples(ex4):
-    assert sets_equal(scale_set(1.0, ex4), ex4)
-    assert sets_equal(
-        scale_set(2.0, FiniteSet([diag(1.0, 0.0)])), FiniteSet([diag(2.0, 0.0)])
-    )
+    assert sets_equal(Scale(1.0, ex4), ex4)
+    assert sets_equal(Scale(2.0, FiniteSet([diag(1.0, 0.0)])), FiniteSet([diag(2.0, 0.0)]))
     with pytest.raises(ValueError):
-        scale_set(0.0, ex4)
+        Scale(0.0, ex4)
     with pytest.raises(ValueError):
-        scale_set(-2.0, ex4)
+        Scale(-2.0, ex4)
 
 
 def test_scale_set_preserves_cardinality(rng):
     s = random_finite_set(rng, 2, 3, 7)
-    assert len(scale_set(0.5, s)) == 7
+    assert Scale(0.5, s).count() == 7
 
 
 def test_semiring_cardinality_bounds(rng):
     for _ in range(10):
         a = random_finite_set(rng, 2, 2, int(rng.integers(1, 5)))
         b = random_finite_set(rng, 2, 2, int(rng.integers(1, 5)))
-        assert len(minkowski_sum(a, b)) <= len(a) * len(b)
-        assert len(minkowski_product(a, b)) <= len(a) * len(b)
+        assert Sum(a, b).count() <= len(a) * len(b)
+        assert Product(a, b).count() <= len(a) * len(b)
 
 
 def test_minkowski_results_are_deduplicated():
     d10 = diag(1.0, 0.0)
-    out = minkowski_sum(FiniteSet([d10, d10]), FiniteSet([d10]))
-    assert len(out) == 1
+    out = Sum(FiniteSet([d10, d10]), FiniteSet([d10]))
+    assert out.count() == 1
 
 
 # --- expressions ---------------------------------------------------------------
 
 
-def test_eval_expr_leaf(ex4):
-    assert sets_equal(eval_expr(Leaf(ex4)), ex4)
-
-
 def test_eval_expr_sum_vs_scale(ex4):
-    summed = eval_expr(Sum(Leaf(ex4), Leaf(ex4)))
-    doubled = eval_expr(Scale(2.0, Leaf(ex4)))
-    assert len(summed) == 3
-    assert len(doubled) == 2
+    summed = Sum(ex4, ex4)
+    doubled = Scale(2.0, ex4)
+    assert summed.count() == 3
+    assert doubled.count() == 2
     assert not sets_equal(summed, doubled)
 
 
 def test_eval_expr_scale_singleton():
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    out = eval_expr(Scale(0.5, Leaf(FiniteSet([a]))))
+    out = Scale(0.5, FiniteSet([a]))
     assert sets_equal(out, FiniteSet([Matrix(0.5 * a.data)]))
 
 
 def test_expr_nodes_validate_shapes(ex4):
     rect = FiniteSet([Matrix(np.ones((2, 3)))])
     with pytest.raises(ShapeError):
-        Sum(Leaf(ex4), Leaf(rect))
+        Sum(ex4, rect)
     with pytest.raises(ShapeError):
-        Product(Leaf(rect), Leaf(rect))
+        Product(rect, rect)
     with pytest.raises(ValueError):
-        Scale(0.0, Leaf(ex4))
+        Scale(0.0, ex4)
 
 
 def test_products_do_not_distribute_over_sums(ex4):
@@ -225,25 +215,67 @@ def test_products_do_not_distribute_over_sums(ex4):
     # singletons: A(B1+B2) = A has two members, while AB1 + AB2 has four.
     b1 = FiniteSet([diag(1.0, 0.0)])
     b2 = FiniteSet([diag(0.0, 1.0)])
-    left = eval_expr(Product(Leaf(ex4), Sum(Leaf(b1), Leaf(b2))))
-    right = eval_expr(Sum(Product(Leaf(ex4), Leaf(b1)), Product(Leaf(ex4), Leaf(b2))))
-    assert len(left) == 2
-    assert len(right) == 4
+    left = Product(ex4, Sum(b1, b2))
+    right = Sum(Product(ex4, b1), Product(ex4, b2))
+    assert left.count() == 2
+    assert right.count() == 4
     assert not sets_equal(left, right)
     assert hausdorff_distance(left, right) > 1e-10
 
 
 def test_expr_set_enumerates_through_the_tree(ex4):
-    expr = ExprSet(Sum(Leaf(ex4), Leaf(ex4)))
+    expr = Sum(ex4, ex4)
     assert expr.shape == (2, 2)
     assert len(expr.members()) == 3
 
 
+def test_nodes_reject_operands_that_are_not_sets(ex4):
+    with pytest.raises(TypeError, match="MatrixSet"):
+        Sum(ex4, diag(1.0, 1.0))
+    with pytest.raises(TypeError, match="MatrixSet"):
+        Product(np.eye(2), ex4)
+    with pytest.raises(TypeError, match="MatrixSet"):
+        Scale(2.0, [[1.0, 0.0], [0.0, 1.0]])
+
+
+def test_nodes_are_matrix_sets(ex4):
+    for node in (Sum(ex4, ex4), Product(ex4, ex4), Scale(2.0, ex4)):
+        assert isinstance(node, MatrixSet)
+        assert node.kind == "expr"
+
+
+def test_shared_subtree_is_evaluated_once_per_cap(ex4, monkeypatch):
+    evaluations = []
+    combine = Sum._combine
+
+    def counting(self, cap, *stacks):
+        evaluations.append(cap)
+        return combine(self, cap, *stacks)
+
+    monkeypatch.setattr(Sum, "_combine", counting)
+    s = Sum(ex4, Scale(0.5, ex4))
+    tree = Product(s, Scale(2.0, s))
+    first = tree.stack(100)
+    assert tree.stack(100) is first
+    assert evaluations == [100]
+    assert np.array_equal(tree.stack(50), first)
+    assert evaluations == [100, 50]
+
+
+def test_deep_trees_take_one_frame_per_level():
+    one = FiniteSet([Matrix([[1.0]])])
+    depth = int(0.7 * sys.getrecursionlimit())
+    tree = one
+    for _ in range(depth):
+        tree = Sum(tree, one)
+    assert tree.stack().tolist() == [[[depth + 1.0]]]
+
+
 def test_eval_expr_cap_applies_at_nodes():
     big = IRUSet([np.ones((30, 2))] * 2)  # 900 members
-    expr = Product(Leaf(big), Leaf(big))
+    expr = Product(big, big)
     with pytest.raises(CapExceededError):
-        eval_expr(expr, cap=10_000)
+        expr.stack(cap=10_000)
 
 
 # --- Hausdorff metric -----------------------------------------------------------
@@ -483,13 +515,26 @@ def test_set_json_roundtrip(kind, ex4):
     elif kind == "iru":
         mset = IRUSet([[[1.0, 0.5]], [[0.25, 2.0], [1.0, 1.0]]])
     else:
-        mset = ExprSet(Scale(0.5, Sum(Leaf(ex4), Leaf(ex4))))
+        mset = Scale(0.5, Sum(ex4, ex4))
     wire = json.loads(json.dumps(set_to_json(mset)))
     back = set_from_json(wire)
     assert set_to_json(back) == set_to_json(mset)
     assert sets_equal(
         FiniteSet(back.members()), FiniteSet(mset.members())
     )
+
+
+def test_leaf_document_is_the_set_it_holds(ex4):
+    iru = IRUSet([[[1.0, 0.5], [0.0, 2.0]], [[0.25, 2.0], [1.0, 0.0]]])
+    back = set_from_json({"kind": "expr", "expr": {"op": "leaf", "set": set_to_json(iru)}})
+    assert isinstance(back, IRUSet)
+    assert np.array_equal(back.stack(), iru.stack())
+    # A leaf around an expr document writes back as that document's node.
+    inner = set_to_json(Sum(ex4, ex4))
+    wire = {"kind": "expr", "expr": {
+        "op": "scale", "t": 2.0, "child": {"op": "leaf", "set": inner}}}
+    assert set_to_json(set_from_json(wire)) == {"kind": "expr", "expr": {
+        "op": "scale", "t": 2.0, "child": inner["expr"]}}
 
 
 def test_set_json_rejects_unknown_kind():
@@ -529,7 +574,7 @@ def test_stack_is_read_only_and_matches_members(kind, ex4):
         "finite": ex4,
         "ordered": LinearlyOrderedSet([a, Matrix(2 * a.data)]),
         "iru": IRUSet([[[1.0, 0.5]], [[0.25, 2.0], [1.0, 1.0]]]),
-        "expr": ExprSet(Sum(Leaf(ex4), Leaf(ex4))),
+        "expr": Sum(ex4, ex4),
     }[kind]
     stack = mset.stack()
     assert stack.shape == (len(mset.members()),) + mset.shape
@@ -540,7 +585,7 @@ def test_stack_is_read_only_and_matches_members(kind, ex4):
 
 
 def test_expr_stack_rejects_overflow():
-    big = ExprSet(Scale(1e300, Leaf(FiniteSet([Matrix([[1e10]])]))))
+    big = Scale(1e300, FiniteSet([Matrix([[1e10]])]))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
         big.stack()
 
@@ -550,13 +595,19 @@ def test_expr_stack_rechecks_the_cap_it_was_not_evaluated_at(rng):
     # The evaluation kept from a large cap must not hide the pair cap.
     members = random_finite_set(rng, 2, 2, 6)
     zeros = FiniteSet([Matrix(np.zeros((2, 2)))] * 6)
-    expr = ExprSet(Sum(Leaf(members), Leaf(zeros)))
+    expr = Sum(members, zeros)
     assert len(expr.stack(10 ** 6)) == 6
     with pytest.raises(CapExceededError):
         expr.stack(10)
     with pytest.raises(CapExceededError):
         expr.count(10)
     assert np.array_equal(expr.stack(36), members.stack())
+    # The same cap check at an inner node, under a root without a pair cap.
+    outer = Scale(2.0, expr)
+    assert len(outer.stack(10 ** 6)) == 6
+    with pytest.raises(CapExceededError):
+        outer.stack(10)
+    assert np.array_equal(outer.stack(36), 2.0 * members.stack())
 
 
 # --- DEDUP_TOL semantics of Minkowski results ---------------------------------------
@@ -569,14 +620,14 @@ def _scalars(values) -> FiniteSet:
 def test_dedup_keeps_first_occurrence_in_left_major_order():
     # Sums in left-major order: 1+5e-13, 0, 2+5e-13, 1.  The last one lies
     # within DEDUP_TOL of the first and merges into it.
-    out = minkowski_sum(_scalars([0.0, 1.0]), _scalars([1.0 + 5e-13, 0.0]))
+    out = Sum(_scalars([0.0, 1.0]), _scalars([1.0 + 5e-13, 0.0]))
     assert out.stack()[:, 0, 0].tolist() == [1.0 + 5e-13, 0.0, 2.0 + 5e-13]
 
 
 def test_dedup_merges_within_tol_up_to_the_pairwise_limit():
     # Each a + 5e-13 merges into a; a + 0 twice is an exact duplicate.
     base = 1e-3 * np.arange(4096)
-    out = minkowski_sum(_scalars(base), _scalars([0.0, 5e-13, 0.0]))
+    out = Sum(_scalars(base), _scalars([0.0, 5e-13, 0.0]))
     assert out.stack()[:, 0, 0].tolist() == base.tolist()
 
 
@@ -584,7 +635,7 @@ def test_dedup_merges_only_exact_duplicates_past_the_limit():
     # Once 4,097 members are kept, a + 5e-13 no longer merges into a, but
     # the exact duplicate a + 0 still does.
     base = 1e-3 * np.arange(4098)
-    out = minkowski_sum(_scalars(base), _scalars([0.0, 5e-13, 0.0]))
+    out = Sum(_scalars(base), _scalars([0.0, 5e-13, 0.0]))
     values = out.stack()[:, 0, 0]
     assert len(values) == 4100
     assert values[:4096].tolist() == base[:4096].tolist()
