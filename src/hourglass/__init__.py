@@ -4,9 +4,9 @@ structured compact sets of non-negative matrices.
 The package bundles dense non-negative matrix kernels (shifted power
 iteration, Collatz-Wielandt bounds), a Minkowski set algebra with
 independent-row-uncertainty sets and polynomial set expressions, the
-two-sided image alternative checks, an exhaustive saddle solver (and a
-structured one for IRU pairs that never enumerates) with eigenvector
-certificates valid over convex hulls, and a JSON command-line interface.
+two-sided image alternative checks, a saddle solver (row-wise on IRU
+sets, exhaustive otherwise) with eigenvector certificates valid over
+convex hulls, and a JSON command-line interface.
 """
 
 from .alternative import (
@@ -32,12 +32,10 @@ from .saddle import (
     SaddleResult,
     best_response_max,
     best_response_min,
-    best_response_rows,
     certify_saddle,
     check_saddle_hull_samples,
     minimax_table,
     solve_saddle,
-    solve_saddle_iru,
 )
 from .sets import (
     DEDUP_TOL,
@@ -86,7 +84,6 @@ __all__ = [
     "Sum",
     "best_response_max",
     "best_response_min",
-    "best_response_rows",
     "certify_saddle",
     "check_hourglass_at",
     "check_hset_sampled",
@@ -103,7 +100,6 @@ __all__ = [
     "set_from_json",
     "set_to_json",
     "solve_saddle",
-    "solve_saddle_iru",
     "spectral_radius",
     "transpose_set",
 ]

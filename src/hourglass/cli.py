@@ -29,11 +29,9 @@ from .saddle import (
     product_table,
     reduce_table,
     solve_saddle,
-    solve_saddle_iru,
 )
 from .sets import (
     DEFAULT_CAP,
-    IRUSet,
     MatrixSet,
     hausdorff_distance,
     random_iru_pair,
@@ -132,11 +130,7 @@ def _cmd_minimax(args: argparse.Namespace) -> tuple[int, dict]:
 def _cmd_saddle(args: argparse.Namespace) -> tuple[int, dict]:
     a_set = _load_set(args.a_set)
     b_set = _load_set(args.b_set)
-    result = None
-    if isinstance(a_set, IRUSet) and isinstance(b_set, IRUSet):
-        result = solve_saddle_iru(a_set, b_set, certificate_tol=args.tol)
-    if result is None:
-        result = solve_saddle(a_set, b_set, cap=args.cap)
+    result = solve_saddle(a_set, b_set, cap=args.cap, tol=args.tol)
     report = {
         "a_tilde": result.a_tilde.to_json(),
         "b_tilde": result.b_tilde.to_json(),
@@ -200,7 +194,7 @@ def _cmd_batch(args: argparse.Namespace) -> tuple[int, dict]:
     for index in range(args.trials):
         a_set, b_set = random_iru_pair(rng)
         n, m = a_set.shape
-        solved = solve_saddle(a_set, b_set, cap=args.cap)
+        solved = solve_saddle(a_set, b_set, cap=args.cap, tol=args.tol)
         max_gap = max(max_gap, solved.gap)
         results.append(
             {

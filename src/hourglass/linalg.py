@@ -131,12 +131,17 @@ class Matrix:
                     f"{location}.data[{i}]", f"expected a list of {cols} numbers"
                 )
             for j, x in enumerate(row):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    raise ParseError(f"{location}.data[{i}][{j}]", "expected a number")
+                expect_number(x, f"{location}.data[{i}][{j}]")
         try:
             return cls(data)
         except (ValueError, ShapeError) as exc:
             raise ParseError(f"{location}.data", str(exc)) from exc
+
+
+def expect_number(x, location: str) -> None:
+    """Reject a JSON entry that is not a number (a string, a boolean, null, a list)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ParseError(location, "expected a number")
 
 
 def _expect_index(obj: dict, key: str, location: str) -> int:

@@ -10,13 +10,12 @@ with v the dominant eigenvector of a_tilde b_tilde and w = b_tilde v, the
 vertex inequalities  value*v <= A w  and  w >= B v  are affine in the
 varying matrix, so non-negative vertex residuals extend to the whole hulls.
 
-For independent-row-uncertainty (IRU) sets both inequalities split into
-one check per row, so the structured solver never enumerates: each player's
-exact best response is found by greedy row selection (Nesterov & Protasov,
-"Optimizing the spectral radius", SIAM J. Matrix Anal. Appl. 2013;
-Cvetkovic & Protasov, "The greedy strategy for optimizing the Perron
-eigenvalue", Math. Program. 2022), and the row-wise certificate decides
-whether the pair it settles on is a saddle.
+When either set has independent row uncertainty (IRU), :func:`solve_saddle`
+first lets the players answer each other in turn: an IRU player by greedy
+row selection (Nesterov & Protasov, "Optimizing the spectral radius", SIAM
+J. Matrix Anal. Appl. 2013; Cvetkovic & Protasov, "The greedy strategy for
+optimizing the Perron eigenvalue", Math. Program. 2022), any other player
+by a scan, and the settled pair is kept when the certificate accepts it.
 
 Every radius here comes from :func:`power_many`, at its default
 tolerances, on a stack of products formed with ``@``: the table is one
@@ -41,10 +40,9 @@ CERTIFICATE_TOL = 1e-9
 # count as zero; the certificate is then inconclusive rather than failed.
 _POSITIVE_VECTOR_TOL = 1e-12
 
-#: Bound on the greedy passes of one IRU best response and on the
-#: alternating rounds of :func:`solve_saddle_iru`.  On positive sets both
-#: settle in a few steps; greedy minimization can cycle when zero rows make
-#: the Perron vector degenerate, and hitting the bound then gives up.
+#: Bound on the greedy passes of one IRU best response and on the rounds of
+#: row-wise answers in :func:`solve_saddle`; reaching it gives up.  Both
+#: settle in a few steps on positive sets, but zero rows can make them cycle.
 IRU_MAX_ROUNDS = 100
 
 # A hull sample combines r members, r drawn uniformly from 1..min(4, K).
@@ -58,8 +56,8 @@ class SaddleResult:
     ``value`` is rho(a_tilde b_tilde); ``w`` is b_tilde applied to the
     dominant eigenvector of the product.  From the exhaustive table,
     ``gap = minmax - maxmin`` is non-negative and zero exactly when the
-    table has a saddle; from :func:`solve_saddle_iru` the pair is a
-    certified saddle, so minmax = maxmin = value and gap = 0.0.
+    table has a saddle; a pair settled by row-wise answers is a certified
+    saddle, so minmax = maxmin = value and gap = 0.0.
     """
 
     a_tilde: Matrix
@@ -141,34 +139,12 @@ def minimax_table(a_set: MatrixSet, b_set: MatrixSet, cap: int = DEFAULT_CAP) ->
     return readonly(product_table(a_set.stack(cap), b_set.stack(cap), cap)[0])
 
 
-def _radii(fixed: np.ndarray, stack: np.ndarray, fixed_on_left: bool) -> np.ndarray:
-    """rho(fixed X), or rho(X fixed), for every X in the stack."""
-    return power_many(fixed @ stack if fixed_on_left else stack @ fixed)[0]
-
-
-def _best_response(
-    fixed: Matrix, mset: MatrixSet, cap: int, minimize: bool
-) -> tuple[Matrix, float]:
-    shapes = (mset.shape, fixed.shape)
-    _check_pairing(*(shapes if minimize else shapes[::-1]))
-    members = mset.stack(cap)
-    rho = _radii(fixed.data, members, fixed_on_left=not minimize)
-    best = int(rho.argmin() if minimize else rho.argmax())
-    return Matrix(members[best]), float(rho[best])
-
-
-def best_response_min(
-    b: Matrix, a_set: MatrixSet, cap: int = DEFAULT_CAP
-) -> tuple[Matrix, float]:
-    """Member of a_set minimizing rho(A b); earliest index wins ties."""
-    return _best_response(b, a_set, cap, minimize=True)
-
-
-def best_response_max(
-    a: Matrix, b_set: MatrixSet, cap: int = DEFAULT_CAP
-) -> tuple[Matrix, float]:
-    """Member of b_set maximizing rho(a B); earliest index wins ties."""
-    return _best_response(a, b_set, cap, minimize=False)
+def _scan(fixed: np.ndarray, members: np.ndarray, minimize: bool) -> tuple[int, tuple]:
+    """The earliest index of a member X minimizing rho(X fixed), or
+    maximizing rho(fixed X), and the kernel output on all the products.
+    """
+    out = power_many(members @ fixed if minimize else fixed @ members)
+    return int(out[0].argmin() if minimize else out[0].argmax()), out
 
 
 def _row_images(row_sets: tuple[np.ndarray, ...], x: np.ndarray) -> list[np.ndarray]:
@@ -176,13 +152,13 @@ def _row_images(row_sets: tuple[np.ndarray, ...], x: np.ndarray) -> list[np.ndar
     return [np.einsum("rj,j->r", rs, x) for rs in row_sets]
 
 
-def _assemble(row_sets: tuple[np.ndarray, ...], picks: list[int]) -> np.ndarray:
+def _assemble(row_sets: tuple[np.ndarray, ...], picks: tuple) -> np.ndarray:
     return np.stack([rs[k] for rs, k in zip(row_sets, picks)])
 
 
 def _greedy_rows(
-    fixed: np.ndarray, row_sets: tuple[np.ndarray, ...], picks: list[int], minimize: bool
-) -> tuple[list[int], np.ndarray, PerronData] | None:
+    fixed: np.ndarray, row_sets: tuple[np.ndarray, ...], picks: tuple, minimize: bool
+) -> tuple[tuple, np.ndarray, PerronData] | None:
     """Greedy row selection for rho(X fixed) (minimize) or rho(fixed X).
 
     X takes row ``picks[i]`` of row set i.  With v the Perron vector of the
@@ -203,36 +179,63 @@ def _greedy_rows(
             return None
         target = fixed @ perron.vector if minimize else perron.vector
         images = _row_images(row_sets, target)
-        settled = [int(r.argmin() if minimize else r.argmax()) for r in images]
+        settled = tuple(int(r.argmin() if minimize else r.argmax()) for r in images)
         if settled == picks:
             return picks, x, perron
         picks = settled
     return None
 
 
-def best_response_rows(
-    fixed: Matrix, iru_set: IRUSet, minimize: bool
-) -> tuple[Matrix, float] | None:
-    """Exact best response over an IRU set without enumerating it.
+def _first(mset: MatrixSet):
+    """A player's opening choice: row 0 of every row set of an IRU set, else member 0."""
+    return (0,) * len(mset.row_sets) if isinstance(mset, IRUSet) else 0
 
-    With ``minimize`` the member A of ``iru_set`` minimizing rho(A fixed),
-    otherwise the member B maximizing rho(fixed B), found by greedy row
-    selection from the first row of every row set; ties break to the
-    earliest row of each row set.  Exact when the Perron vector of the
-    settled product is strictly positive (always, for positive sets);
-    None when the greedy passes do not settle or a power iteration does
-    not converge.
+
+def _respond(fixed: np.ndarray, mset: MatrixSet, cap: int, minimize: bool, last):
+    """A player's answer to ``fixed``: (choice, member, Perron data of the product).
+
+    A (``minimize``) minimizes rho(A fixed), B maximizes rho(fixed B).  An
+    IRU set answers by :func:`_greedy_rows` from its ``last`` picks, other
+    sets by a scan, the choice an index.  None when the greedy fails or a
+    scanned radius did not converge and may misorder the scan.
     """
-    if not isinstance(iru_set, IRUSet):
-        raise TypeError("best_response_rows expects an IRU set")
-    shapes = (iru_set.shape, fixed.shape)
+    if isinstance(mset, IRUSet):
+        return _greedy_rows(fixed, mset.row_sets, last, minimize)
+    members = mset.stack(cap)
+    best, out = _scan(fixed, members, minimize)
+    return (best, members[best], PerronData.of(out, best)) if out[3].all() else None
+
+
+def _best_response(
+    fixed: Matrix, mset: MatrixSet, cap: int, minimize: bool
+) -> tuple[Matrix, float]:
+    shapes = (mset.shape, fixed.shape)
     _check_pairing(*(shapes if minimize else shapes[::-1]))
-    start = [0] * len(iru_set.row_sets)
-    found = _greedy_rows(fixed.data, iru_set.row_sets, start, minimize)
-    if found is None:
-        return None
-    _, x, perron = found
-    return Matrix(x), perron.rho
+    if isinstance(mset, IRUSet):
+        found = _respond(fixed.data, mset, cap, minimize, _first(mset))
+        if found is not None and found[2].vector.min() > _POSITIVE_VECTOR_TOL:
+            return Matrix(found[1]), found[2].rho
+    members = mset.stack(cap)
+    best, out = _scan(fixed.data, members, minimize)
+    return Matrix(members[best]), float(out[0][best])
+
+
+def best_response_min(
+    b: Matrix, a_set: MatrixSet, cap: int = DEFAULT_CAP
+) -> tuple[Matrix, float]:
+    """Member of a_set minimizing rho(A b): on an IRU set by greedy row
+    selection when it settles with a strictly positive Perron vector, which
+    makes it exact (ties to the earliest row of each row set), otherwise by
+    a scan within ``cap`` (ties to the earliest index).
+    """
+    return _best_response(b, a_set, cap, minimize=True)
+
+
+def best_response_max(
+    a: Matrix, b_set: MatrixSet, cap: int = DEFAULT_CAP
+) -> tuple[Matrix, float]:
+    """Member of b_set maximizing rho(a B); answered as in :func:`best_response_min`."""
+    return _best_response(a, b_set, cap, minimize=False)
 
 
 def _saddle_result(
@@ -252,64 +255,59 @@ def _saddle_result(
     )
 
 
-def solve_saddle(
-    a_set: MatrixSet, b_set: MatrixSet, cap: int = DEFAULT_CAP
-) -> SaddleResult:
-    """Exhaustive saddle-point computation over two enumerable sets.
-
-    b_tilde maximizes the column minimum m(B) = min_A rho(A B) and a_tilde
-    is the minimizing response to it; ties break to the earliest
-    enumeration index.  minmax is the transposed reduction min_A max_B.
-    The Perron data of a_tilde b_tilde is the table's own cell, so
-    value == maxmin exactly; its dominant eigenvector v and w = b_tilde v
-    are attached for certification.
+def _alternate(a_set: MatrixSet, b_set: MatrixSet, cap: int) -> SaddleResult | None:
+    """The pair the players settle on by answering each other through
+    :func:`_respond`, from B's first choice until B's answer stays put;
+    None when an answer fails, B repeats an earlier choice (a cycle), or
+    IRU_MAX_ROUNDS rounds pass.
     """
+    last_a, b_choices = _first(a_set), [_first(b_set)]
+    if isinstance(b_set, IRUSet):
+        b = _assemble(b_set.row_sets, b_choices[0])
+    else:
+        b = b_set.stack(cap)[0]
+    for _ in range(IRU_MAX_ROUNDS):
+        found = _respond(b, a_set, cap, True, last_a)
+        if found is not None:
+            last_a, a, _ = found
+            found = _respond(a, b_set, cap, False, b_choices[-1])
+        if found is None:
+            return None
+        choice, b, perron = found
+        if choice == b_choices[-1]:
+            return _saddle_result(a, b, perron, perron.rho, perron.rho)
+        if choice in b_choices:
+            return None
+        b_choices.append(choice)
+    return None
+
+
+def solve_saddle(
+    a_set: MatrixSet, b_set: MatrixSet, cap: int = DEFAULT_CAP, tol: float = CERTIFICATE_TOL
+) -> SaddleResult:
+    """Saddle-point computation over two matrix sets.
+
+    When either set is an IRU set, the players first answer each other in
+    turn, enumerating no IRU set, and a settled pair that
+    :func:`certify_saddle` accepts at ``tol`` is returned as a saddle over
+    both hulls: minmax = maxmin = value and gap = 0.0.  Otherwise the
+    exhaustive table answers: b_tilde maximizes the column minimum
+    m(B) = min_A rho(A B), a_tilde is the minimizing response to it, ties
+    break to the earliest enumeration index, and minmax is the transposed
+    reduction min_A max_B.  The Perron data of a_tilde b_tilde is the
+    table's own cell, so value == maxmin exactly; its dominant eigenvector
+    v and w = b_tilde v are attached for certification.
+    """
+    _check_pairing(a_set.shape, b_set.shape)
+    if isinstance(a_set, IRUSet) or isinstance(b_set, IRUSet):
+        result = _alternate(a_set, b_set, cap)
+        if result is not None and certify_saddle(result, a_set, b_set, tol, cap).valid:
+            return result
     stack_a, stack_b = a_set.stack(cap), b_set.stack(cap)
     kernel = product_table(stack_a, stack_b, cap)
     minmax, maxmin, i, j = reduce_table(kernel[0])
     perron = PerronData.of(kernel, (i, j))
     return _saddle_result(stack_a[i], stack_b[j], perron, minmax, maxmin)
-
-
-def solve_saddle_iru(
-    a_set: IRUSet, b_set: IRUSet, certificate_tol: float = CERTIFICATE_TOL
-) -> SaddleResult | None:
-    """Saddle of two IRU sets by alternating greedy best responses.
-
-    Enumerates neither set, so the cost follows the row-set sizes, not the
-    cardinalities.  Starting from the first row of every row set, A answers
-    b_tilde exactly by greedy row selection, then B answers a_tilde, and
-    the rounds repeat until B's answer stays put; ties break to the earliest
-    row of each row set.  The settled pair is returned only when
-    :func:`certify_saddle` accepts it at ``certificate_tol``: it is then a
-    saddle over both convex hulls, so minmax = maxmin = value and
-    gap = 0.0.  Otherwise (a Perron vector with a zero coordinate,
-    non-convergence, or no settling within IRU_MAX_ROUNDS rounds) the
-    result is None, and :func:`solve_saddle` remains the exhaustive answer.
-    """
-    if not (isinstance(a_set, IRUSet) and isinstance(b_set, IRUSet)):
-        raise TypeError("solve_saddle_iru expects two IRU sets")
-    _check_pairing(a_set.shape, b_set.shape)
-    picks_a = [0] * len(a_set.row_sets)
-    picks_b = [0] * len(b_set.row_sets)
-    b = _assemble(b_set.row_sets, picks_b)
-    for _ in range(IRU_MAX_ROUNDS):
-        found = _greedy_rows(b, a_set.row_sets, picks_a, True)
-        if found is None:
-            return None
-        picks_a, a, _ = found
-        found = _greedy_rows(a, b_set.row_sets, picks_b, False)
-        if found is None:
-            return None
-        settled = found[0] == picks_b
-        picks_b, b, perron = found
-        if settled:
-            break
-    else:
-        return None
-    result = _saddle_result(a, b, perron, perron.rho, perron.rho)
-    certificate = certify_saddle(result, a_set, b_set, tol=certificate_tol)
-    return result if certificate.valid else None
 
 
 def _row_extreme(mset: MatrixSet, x: np.ndarray, cap: int, minimize: bool) -> np.ndarray:
@@ -398,6 +396,6 @@ def check_saddle_hull_samples(
     rng = np.random.default_rng(seed)
     b_samples = draw_hull_samples(b_set, n, rng, cap)
     a_samples = draw_hull_samples(a_set, n, rng, cap)
-    rho_b = _radii(result.a_tilde.data, b_samples, fixed_on_left=True)
-    rho_a = _radii(result.b_tilde.data, a_samples, fixed_on_left=False)
+    rho_b = power_many(result.a_tilde.data @ b_samples)[0]
+    rho_a = power_many(a_samples @ result.b_tilde.data)[0]
     return bool((rho_b <= result.value + tol).all() and (rho_a >= result.value - tol).all())

@@ -19,7 +19,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import CapExceededError, ParseError, ShapeError
-from .linalg import Matrix, readonly
+from .linalg import Matrix, expect_number, readonly
 
 #: Default bound on the number of matrices any enumeration may materialize.
 DEFAULT_CAP = 10 ** 6
@@ -274,7 +274,9 @@ class _ExprNode(MatrixSet):
             stacks = []
             for operand in self._operands:
                 stacks.append(operand.stack(cap))
-            self._evaluated = (cap, self._combine(cap, *stacks))
+            # An overflow is reported by the node's finiteness check alone.
+            with np.errstate(over="ignore", invalid="ignore"):
+                self._evaluated = (cap, self._combine(cap, *stacks))
         return self._evaluated[1]
 
     @abc.abstractmethod
@@ -551,6 +553,10 @@ def set_from_json(obj, location: str = "$") -> MatrixSet:
             row_sets = obj.get("row_sets")
             if not isinstance(row_sets, list) or not row_sets:
                 raise ParseError(f"{location}.row_sets", "expected a non-empty list")
+            for i, rows in enumerate(row_sets):
+                for k, row in enumerate(rows if isinstance(rows, list) else ()):
+                    for j, x in enumerate(row if isinstance(row, list) else ()):
+                        expect_number(x, f"{location}.row_sets[{i}][{k}][{j}]")
             return IRUSet(row_sets)
         if kind == "expr":
             return _expr_from_json(obj.get("expr"), f"{location}.expr")
@@ -575,8 +581,7 @@ def _expr_from_json(obj, location: str) -> MatrixSet:
             return Sum(left, right) if op == "sum" else Product(left, right)
         if op == "scale":
             t = obj.get("t")
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise ParseError(f"{location}.t", "expected a number")
+            expect_number(t, f"{location}.t")
             return Scale(t, _expr_from_json(obj.get("child"), f"{location}.child"))
     except (ValueError, TypeError, ShapeError) as exc:
         raise ParseError(location, str(exc)) from exc

@@ -267,15 +267,39 @@ def test_hausdorff_pair_cap_is_an_input_error(tmp_path, capsys):
     assert "1521" in report["error"]["message"]
 
 
+@pytest.mark.filterwarnings("error")
 def test_algebra_overflow_is_an_input_error(tmp_path, capsys):
+    # the finiteness check is the only report: no numpy warning on stderr
     p = tmp_path / "overflow.json"
     overflow = Scale(1e300, FiniteSet([Matrix([[1e10]])]))
     p.write_text(json.dumps(set_to_json(overflow)))
-    with np.errstate(over="ignore"):
-        code, report = run_cli(capsys, "algebra", str(p))
+    code = main(["algebra", str(p)])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert code == 2
+    assert json.loads(captured.out)["error"] == {
+        "kind": "input", "message": "matrix entries must be finite"
+    }
+
+
+@pytest.mark.parametrize(
+    "row_sets, location",
+    [
+        ([[["0.5", 1.0]], [[1.0, 2.0]]], "row_sets[0][0][0]"),
+        ([[[0.5, True]], [[1.0, 2.0]]], "row_sets[0][0][1]"),
+        ([[[0.5, 1.0]], [[1.0, 2.0], [1.0, "2e0"]]], "row_sets[1][1][1]"),
+        ([[[0.5, None]], [[1.0, 2.0]]], "row_sets[0][0][1]"),
+        ([[[0.5, [1.0]]], [[1.0, 2.0]]], "row_sets[0][0][1]"),
+    ],
+)
+def test_iru_entries_must_be_numbers(tmp_path, capsys, row_sets, location):
+    # the same rule as matrix entries, with the path of the offending entry
+    p = tmp_path / "iru.json"
+    p.write_text(json.dumps({"kind": "iru", "row_sets": row_sets}))
+    code, report = run_cli(capsys, "algebra", str(p))
     assert code == 2
     assert report["error"] == {
-        "kind": "input", "message": "matrix entries must be finite"
+        "kind": "parse", "location": f"{p}.{location}", "message": "expected a number"
     }
 
 
@@ -293,15 +317,32 @@ def _saddle_iru_and_finite(tmp_path, capsys, a, b, *flags):
     return reports
 
 
+def test_iru_by_finite_saddle_never_enumerates_the_iru_set(tmp_path, capsys):
+    # 12^8 members of A against one B: the table would exceed --cap 10, the
+    # row-wise answers do not, and their pair carries a valid certificate
+    rng = np.random.default_rng(8)
+    paths = []
+    for name, doc in (
+        ("a", {"kind": "iru", "row_sets": rng.uniform(0.05, 1, size=(8, 12, 8)).tolist()}),
+        ("b", set_to_json(FiniteSet([Matrix(rng.uniform(0.05, 1, size=(8, 8)))]))),
+    ):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc))
+        paths.append(str(p))
+    code, report = run_cli(capsys, "saddle", *paths, "--certify", "--cap", "10")
+    assert code == 0
+    assert report["gap"] == 0.0
+    assert report["certificate"]["valid"] is True
+
+
 def test_iru_saddle_falls_back_to_the_exhaustive_report(tmp_path, capsys):
-    # A zero row of A leaves a zero in the Perron vector, so the structured
-    # solver declines; the report must then be exactly the one the
+    # A zero row of A leaves a zero in the Perron vector, so the row-wise
+    # answers are declined; the report must then be exactly the one the
     # exhaustive path gives for the same members listed as a finite set.
-    from hourglass import IRUSet, solve_saddle_iru
+    from hourglass import IRUSet
 
     a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
     b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
-    assert solve_saddle_iru(a, b) is None
     flags = ("--certify", "--hull-samples", "20", "--seed", "3")
     reports = _saddle_iru_and_finite(tmp_path, capsys, a, b, *flags)
     assert reports[0] == reports[1]

@@ -16,7 +16,6 @@ from hourglass import (
     Sum,
     best_response_max,
     best_response_min,
-    best_response_rows,
     certify_saddle,
     check_saddle_hull_samples,
     convex_hull_sample,
@@ -24,7 +23,6 @@ from hourglass import (
     minimax_table,
     random_iru_set,
     solve_saddle,
-    solve_saddle_iru,
     spectral_radius,
     transpose_set,
 )
@@ -38,6 +36,33 @@ def random_pair(rng, max_rows=3, low=0.05, high=1.0):
     a = random_iru_set(rng, n, m, max_rows, low, high)
     b = random_iru_set(rng, m, n, max_rows, low, high)
     return a, b
+
+
+def finite(mset):
+    """The members of a set listed as a finite set: the exhaustive oracle."""
+    return FiniteSet(mset.members())
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of ``hourglass.saddle.<name>`` from now on."""
+    calls = []
+
+    def counted(*args, _inner=getattr(hourglass.saddle, name), **kwargs):
+        calls.append(1)
+        return _inner(*args, **kwargs)
+
+    monkeypatch.setattr(hourglass.saddle, name, counted)
+    return calls
+
+
+def assert_same_result(result, oracle):
+    assert result.a_tilde == oracle.a_tilde
+    assert result.b_tilde == oracle.b_tilde
+    for key in ("value", "minmax", "maxmin", "gap"):
+        assert getattr(result, key) == getattr(oracle, key)
+    assert np.array_equal(result.w, oracle.w)
+    assert np.array_equal(result.perron.vector, oracle.perron.vector)
+    assert result.perron.converged == oracle.perron.converged
 
 
 # --- best responses -------------------------------------------------------------
@@ -84,40 +109,77 @@ def test_best_response_shape_checks(ex4):
         best_response_min(Matrix(np.ones((3, 2))), ex4)
     with pytest.raises(ShapeError):
         best_response_max(Matrix(np.ones((3, 2))), ex4)
+    with pytest.raises(ShapeError):
+        best_response_min(Matrix(np.ones((3, 2))), IRUSet([[[1.0, 2.0]]] * 2))
 
 
-def test_best_response_rows_match_enumeration(rng):
+def test_best_response_rows_match_enumeration(rng, monkeypatch):
     # greedy row selection is exact on positive IRU sets: the same member
-    # as the enumerating best responses, and the same radius
+    # as a scan of the members listed as a finite set, the same radius,
+    # and the IRU set is never enumerated
+    cases = []
     for _ in range(30):
         n, m = (int(x) for x in rng.integers(2, 5, size=2))
         iru_a = random_iru_set(rng, n, m, 3)
         iru_b = random_iru_set(rng, m, n, 3)
         b = Matrix(rng.uniform(0.05, 1.0, size=(m, n)))
         a = Matrix(rng.uniform(0.05, 1.0, size=(n, m)))
-        for fixed, iru, minimize, oracle in (
-            (b, iru_a, True, best_response_min),
-            (a, iru_b, False, best_response_max),
+        for fixed, iru, respond in (
+            (b, iru_a, best_response_min),
+            (a, iru_b, best_response_max),
         ):
-            chosen, rho = best_response_rows(fixed, iru, minimize)
-            expected, rho_expected = oracle(fixed, iru)
-            assert chosen == expected
-            assert abs(rho - rho_expected) <= 1e-12 * max(1.0, rho_expected)
+            cases.append((fixed, iru, respond, respond(fixed, finite(iru))))
+
+    def refuse(self, cap=None):
+        raise AssertionError("IRUSet.stack called")
+
+    monkeypatch.setattr(IRUSet, "stack", refuse)
+    for fixed, iru, respond, (expected, rho_expected) in cases:
+        chosen, rho = respond(fixed, iru)
+        assert chosen == expected
+        assert abs(rho - rho_expected) <= 1e-12 * max(1.0, rho_expected)
 
 
 def test_best_response_rows_singleton_rows():
     iru = IRUSet([[[1.0, 2.0]], [[3.0, 4.0]]])
-    for minimize in (True, False):
-        chosen, rho = best_response_rows(diag(1.0, 1.0), iru, minimize)
+    for respond in (best_response_min, best_response_max):
+        chosen, rho = respond(diag(1.0, 1.0), iru)
         assert chosen == Matrix([[1.0, 2.0], [3.0, 4.0]])
         assert rho == spectral_radius(chosen).rho
 
 
-def test_best_response_rows_requires_iru_and_pairing(ex4):
-    with pytest.raises(TypeError):
-        best_response_rows(diag(1.0, 1.0), ex4, True)
-    with pytest.raises(ShapeError):
-        best_response_rows(Matrix(np.ones((3, 2))), IRUSet([[[1.0, 2.0]]] * 2), True)
+def test_best_response_min_on_zero_rows_matches_an_eigvals_oracle():
+    # Zero entries make the second member of this pair cyclic: its true
+    # radius is 0.2681, but the kernel stalls at 0.1258 without converging,
+    # so a bare scan of the members picks it.  The greedy settles with a
+    # strictly positive Perron vector, which makes its answer exact.
+    a = IRUSet([
+        [[0.2087, 0.2973, 0.0], [0.0, 0.8420, 0.0]],
+        [[0.6970, 0.0, 0.8761], [0.3598, 0.0, 0.6688], [0.0, 0.4129, 0.0]],
+    ])
+    b = Matrix([[0.1584, 0.0], [0.0, 0.7723], [0.0801, 0.0]])
+    radii = [np.abs(np.linalg.eigvals(m @ b.data)).max() for m in a.stack()]
+    chosen, rho = best_response_min(b, a)
+    assert chosen == Matrix(a.stack()[int(np.argmin(radii))])
+    assert abs(rho - min(radii)) <= 1e-9
+    assert round(rho, 6) == 0.176713
+
+
+def test_best_response_falls_back_to_a_scan_on_degenerate_iru_sets(monkeypatch):
+    # A zero row leaves a zero in the settled Perron vector, where greedy
+    # row selection is not known to be exact: the members are then scanned
+    a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
+    b = Matrix([[0.4, 0.4], [0.9, 0.1]])
+    expected = best_response_min(b, FiniteSet(a.members()))
+    scans = []
+
+    def counted(self, cap, _stack=IRUSet.stack):
+        scans.append(cap)
+        return _stack(self, cap)
+
+    monkeypatch.setattr(IRUSet, "stack", counted)
+    assert best_response_min(b, a) == expected
+    assert len(scans) == 1
 
 
 # --- minimax tables --------------------------------------------------------------
@@ -266,15 +328,16 @@ def test_solve_saddle_value_stable_under_hull_supersets(rng):
         assert abs(base.value - augmented.value) <= 1e-9
 
 
-def test_solve_saddle_iru_matches_exhaustive_oracle():
+def test_solve_saddle_iru_matches_exhaustive_oracle(monkeypatch):
     rng = np.random.default_rng(20130101)
+    pairs = []
     for _ in range(300):
         n, m = (int(x) for x in rng.integers(2, 5, size=2))
-        a = random_iru_set(rng, n, m, 3)
-        b = random_iru_set(rng, m, n, 3)
-        result = solve_saddle_iru(a, b)
-        oracle = solve_saddle(a, b)
-        assert result is not None
+        pairs.append((random_iru_set(rng, n, m, 3), random_iru_set(rng, m, n, 3)))
+    oracles = [solve_saddle(finite(a), finite(b)) for a, b in pairs]
+    tables = count_calls(monkeypatch, "product_table")
+    for (a, b), oracle in zip(pairs, oracles):
+        result = solve_saddle(a, b)
         assert result.a_tilde == oracle.a_tilde
         assert result.b_tilde == oracle.b_tilde
         for key in ("value", "minmax", "maxmin"):
@@ -282,42 +345,135 @@ def test_solve_saddle_iru_matches_exhaustive_oracle():
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
         assert result.gap == 0.0
         assert certify_saddle(result, a, b).valid
+    assert not tables
 
 
-def test_solve_saddle_iru_declines_degenerate_pairs():
+def _mixed_pair(rng, kind, zero_prob):
+    """An IRU set, with zero entries at rate ``zero_prob``, against a
+    positive finite set or a Sum of two, in either role."""
+    n, m = (int(x) for x in rng.integers(2, 4, size=2))
+    rows, cols = (m, n) if kind == "finite x iru" else (n, m)
+    row_sets = []
+    for k in rng.integers(1, 4, size=rows):
+        entries = rng.uniform(0.05, 1.0, size=(int(k), cols))
+        row_sets.append(np.where(rng.uniform(size=entries.shape) < zero_prob, 0.0, entries))
+
+    def positive(count):
+        mats = rng.uniform(0.05, 1.0, size=(count, cols, rows))
+        return FiniteSet([Matrix(x) for x in mats])
+
+    other = positive(int(rng.integers(1, 5)))
+    if kind == "iru x expr":
+        other = Sum(other, positive(int(rng.integers(1, 3))))
+    return (other, IRUSet(row_sets)) if kind == "finite x iru" else (IRUSet(row_sets), other)
+
+
+def test_solve_saddle_mixed_pairs_match_exhaustive_oracle(monkeypatch):
+    # Row-wise answers on IRU x finite, finite x IRU and IRU x expr pairs,
+    # half positive and half with about 30% zero entries in the IRU set.
+    # The other side stays positive, so no product is cyclic: the power
+    # kernel spends its whole step budget on a cyclic product, seconds per
+    # pair (the kernel limit pinned in test_linalg.py).  A certified answer
+    # is a saddle cell of the oracle's table, and the oracle's own pair
+    # whenever that cell is the only one.  A declined answer is the
+    # table's, field by field.
+    rng = np.random.default_rng(2016)
+    kinds = ("iru x finite", "finite x iru", "iru x expr")
+    pairs = [_mixed_pair(rng, kinds[k % 3], 0.3 * (k % 2)) for k in range(210)]
+    oracles = [solve_saddle(finite(a), finite(b)) for a, b in pairs]
+    tables = count_calls(monkeypatch, "product_table")
+    certified = 0
+    for (a, b), oracle in zip(pairs, oracles):
+        tables.clear()
+        result = solve_saddle(a, b)
+        if tables:
+            assert_same_result(result, oracle)
+            continue
+        certified += 1
+        assert certify_saddle(result, a, b).valid
+        assert result.gap == 0.0
+        value = oracle.value
+        assert abs(result.value - value) <= 1e-12 * max(1.0, value)
+        stack_a, stack_b = finite(a).stack(), finite(b).stack()
+        table = minimax_table(finite(a), finite(b))
+        band = 1e-12 * max(1.0, value)
+        saddle_cells = (
+            (np.abs(table - value) <= band)
+            & (table.max(axis=1, keepdims=True) <= value + band)
+            & (table.min(axis=0, keepdims=True) >= value - band)
+        )
+        i = next(k for k, x in enumerate(stack_a) if np.array_equal(x, result.a_tilde.data))
+        j = next(k for k, x in enumerate(stack_b) if np.array_equal(x, result.b_tilde.data))
+        assert saddle_cells[i, j]
+        if saddle_cells.sum() == 1:
+            assert result.a_tilde == oracle.a_tilde
+            assert result.b_tilde == oracle.b_tilde
+    assert 40 <= certified <= 170
+
+
+def test_solve_saddle_iru_declines_degenerate_pairs(monkeypatch):
     # the zero row of A puts a zero coordinate into the Perron vector, so
-    # the certificate is inconclusive and the structured solver declines
+    # the certificate is inconclusive and the table answers
     a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
     b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
-    assert solve_saddle_iru(a, b) is None
-    assert not certify_saddle(solve_saddle(a, b), a, b).conclusive
+    tables = count_calls(monkeypatch, "product_table")
+    result = solve_saddle(a, b)
+    assert len(tables) == 1
+    assert_same_result(result, solve_saddle(finite(a), finite(b)))
+    assert not certify_saddle(result, a, b).conclusive
     # a cyclic product never converges, so no greedy step is trustworthy
     cyclic = IRUSet([[[0.0, 0.0807]], [[0.4218, 0.0]]])
     identity = IRUSet([[[1.0, 0.0]], [[0.0, 1.0]]])
-    assert solve_saddle_iru(cyclic, identity) is None
+    tables.clear()
+    assert not solve_saddle(cyclic, identity).perron.converged
+    assert len(tables) == 1
 
 
-def test_solve_saddle_iru_far_beyond_the_cap():
+def test_solve_saddle_iru_far_beyond_the_cap(monkeypatch):
     import time
 
     rng = np.random.default_rng(50)
     a = IRUSet(rng.uniform(0.05, 1.0, size=(50, 20, 50)))
     b = IRUSet(rng.uniform(0.05, 1.0, size=(50, 20, 50)))
+    single = FiniteSet([Matrix(rng.uniform(0.05, 1.0, size=(50, 50)))])
     assert a.cardinality == 20 ** 50
-    start = time.perf_counter()
-    result = solve_saddle_iru(a, b)
-    assert time.perf_counter() - start < 1.0
-    assert result is not None
-    assert certify_saddle(result, a, b, cap=1).valid
-    assert result.value == spectral_radius(mat_mul(result.a_tilde, result.b_tilde)).rho
+
+    def refuse(self, cap=None):
+        raise AssertionError("IRUSet.stack called")
+
+    monkeypatch.setattr(IRUSet, "stack", refuse)
+    for other in (b, single):
+        start = time.perf_counter()
+        result = solve_saddle(a, other)
+        assert time.perf_counter() - start < 1.0
+        assert result.gap == 0.0
+        assert certify_saddle(result, a, other, cap=1).valid
+        oracle = spectral_radius(mat_mul(result.a_tilde, result.b_tilde))
+        assert result.value == oracle.rho
 
 
-def test_solve_saddle_iru_rejects_other_sets(ex4):
+def test_solve_saddle_stops_when_best_responses_cycle(monkeypatch):
+    # B's answers return to an earlier choice: without the cycle stop the
+    # rounds would run to IRU_MAX_ROUNDS, about 300 kernel calls here
+    rng = np.random.default_rng(6)
+    n, m = (int(x) for x in rng.integers(2, 4, size=2))
+    a = IRUSet([rng.uniform(0.05, 1, size=(int(k), m)) for k in rng.integers(1, 4, size=n)])
+    count = int(rng.integers(1, 5))
+    b = FiniteSet([Matrix(x) for x in rng.uniform(0.05, 1, size=(count, m, n))])
+    oracle = solve_saddle(finite(a), b)
+    kernel = count_calls(monkeypatch, "power_many")
+    tables = count_calls(monkeypatch, "product_table")
+    assert_same_result(solve_saddle(a, b), oracle)
+    assert len(tables) == 1
+    assert len(kernel) <= 10
+
+
+def test_solve_saddle_iru_rejects_mispaired_shapes():
     iru = IRUSet([[[1.0, 0.0]], [[0.0, 1.0]]])
-    with pytest.raises(TypeError):
-        solve_saddle_iru(ex4, iru)
     with pytest.raises(ShapeError):
-        solve_saddle_iru(iru, IRUSet([[[1.0, 0.0, 0.0]]] * 3))
+        solve_saddle(iru, IRUSet([[[1.0, 0.0, 0.0]]] * 3))
+    with pytest.raises(ShapeError):
+        solve_saddle(FiniteSet([Matrix(np.ones((3, 2)))]), iru)
 
 
 # --- certificates -------------------------------------------------------------------
@@ -420,8 +576,7 @@ def test_hull_samples_iru_match_finite_members(rng):
 
 def test_hull_samples_never_enumerate_iru_sets(rng, monkeypatch):
     a, b = random_pair(rng)
-    result = solve_saddle_iru(a, b)
-    assert result is not None
+    result = solve_saddle(a, b)
 
     def refuse(self, cap=None):
         raise AssertionError("IRUSet.stack called")
@@ -435,7 +590,7 @@ def test_hull_samples_never_enumerate_iru_sets(rng, monkeypatch):
 def test_hull_samples_check_the_cap_before_drawing():
     a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.5, 0.5], [0.1, 0.9]]])
     b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
-    result = solve_saddle_iru(a, b)
+    result = solve_saddle(a, b)
     gen = np.random.default_rng(3)
     state = gen.bit_generator.state
     with pytest.raises(CapExceededError):

@@ -584,9 +584,10 @@ def test_stack_is_read_only_and_matches_members(kind, ex4):
         mset.stack(cap=len(stack) - 1)
 
 
+@pytest.mark.filterwarnings("error")
 def test_expr_stack_rejects_overflow():
     big = Scale(1e300, FiniteSet([Matrix([[1e10]])]))
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         big.stack()
 
 
