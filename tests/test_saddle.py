@@ -109,8 +109,23 @@ def test_best_response_shape_checks(ex4):
         best_response_min(Matrix(np.ones((3, 2))), ex4)
     with pytest.raises(ShapeError):
         best_response_max(Matrix(np.ones((3, 2))), ex4)
+
+
+def test_best_response_rows_requires_iru_and_pairing(ex4, monkeypatch):
+    # greedy row selection runs on IRU sets only: any other set is answered
+    # by a scan, and a mispaired IRU set is refused before any row is read
+    def refuse(*args):
+        raise AssertionError("_greedy_rows called")
+
+    monkeypatch.setattr(hourglass.saddle, "_greedy_rows", refuse)
+    chosen, rho = best_response_min(diag(1.0, 0.0), ex4)
+    assert chosen == diag(0.0, 1.0)
+    assert rho == 0.0
+    iru = IRUSet([[[1.0, 2.0]]] * 2)
     with pytest.raises(ShapeError):
-        best_response_min(Matrix(np.ones((3, 2))), IRUSet([[[1.0, 2.0]]] * 2))
+        best_response_min(Matrix(np.ones((3, 2))), iru)
+    with pytest.raises(ShapeError):
+        best_response_max(Matrix(np.ones((2, 3))), iru)
 
 
 def test_best_response_rows_match_enumeration(rng, monkeypatch):
