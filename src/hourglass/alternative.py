@@ -9,9 +9,11 @@ at every probe pair, products drawn from the set are guaranteed a
 spectral-radius saddle point, so this module is the stress-testing surface
 for that hypothesis.
 
-The universal quantifier over u cannot be checked exactly; the sampled
-check below draws reproducible random probe vectors instead.  A reported
-failure is conclusive, a pass is evidence.
+The universal quantifier over u cannot be checked exactly in general; the
+sampled check below draws reproducible random probe vectors instead.  A
+reported failure is conclusive, a pass is evidence.  An IRU set is the
+exception: it satisfies the alternative at every probe pair, so it passes
+without being enumerated (see :func:`check_hset_sampled`).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import COMPARISON_TOL, Matrix, as_vector, readonly
-from .sets import DEFAULT_CAP, MatrixSet
+from .sets import DEFAULT_CAP, IRUSet, MatrixSet
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,6 +64,11 @@ class HourglassReport:
 class HsetCheckResult:
     passed: bool
     failures: tuple[HourglassReport, ...]
+
+
+def _check_tol(tol: float) -> None:
+    if not tol >= 0:
+        raise ValueError("tolerance must be >= 0")
 
 
 def _evaluate(
@@ -105,8 +112,9 @@ def check_hourglass_at(
     ``probe`` must be a member of the set (within ``tol``) and ``u``
     strictly positive.  All inequalities use the shared comparison band:
     weak comparisons are relaxed by ``tol`` and "differs" means some entry
-    deviates by more than ``tol``.
+    deviates by more than ``tol``; ``tol`` must be >= 0.
     """
+    _check_tol(tol)
     members = mset.stack(cap)
     u = as_vector(u, mset.shape[1], "u")
     if (u <= 0).any():
@@ -136,7 +144,24 @@ def check_hset_sampled(
     ``n_probes`` vectors u are drawn with entries log-uniform in
     [1e-2, 1e2].  The same seed reproduces the exact same draws.  The check
     passes when every report holds; all failing reports are returned.
+    ``tol`` must be >= 0.
+
+    An IRU set passes at once, without enumeration, draws or the cap,
+    because it satisfies both assertions at every probe and every u > 0.
+    The image of a member is ``(A u)_i = r_i . u``, where row r_i comes
+    from row set i independently of the other rows.  Let p be the probe.
+    If some row r of row set i has ``r . u < p_i . u - tol``, swap it into
+    p: the image of that member is lower than p's at i by more than
+    ``tol`` and equal at every other entry, so it is a witness for h1.
+    Otherwise every image is at least p's image minus ``tol`` in every
+    entry, so every image lies on the h1 side.  h2 follows by symmetry.
+    The argument is over exact arithmetic; the enumerated comparisons could
+    disagree only on a rounding tie at the edge of the ``tol`` band.
+    Minkowski nodes of IRU sets are not IRU sets and take the sampled path.
     """
+    _check_tol(tol)
+    if isinstance(mset, IRUSet):
+        return HsetCheckResult(passed=True, failures=())
     members = mset.stack(cap)
     count, _, n_cols = members.shape
     rng = np.random.default_rng(rng_seed)

@@ -14,6 +14,7 @@ first-occurrence deduplication.
 from __future__ import annotations
 
 import abc
+import math
 from typing import ClassVar
 
 import numpy as np
@@ -29,29 +30,80 @@ DEFAULT_CAP = 10 ** 6
 #: rounding noise.
 DEDUP_TOL = 1e-12
 
-# Pairwise tolerance-deduplication is quadratic; beyond this many distinct
-# members only exact duplicates are merged.
+# Once this many members are kept, only exact duplicates are merged.
 _DEDUP_PAIRWISE_LIMIT = 4096
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)
+
+
+def _near_pairs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row pairs (later, earlier) with ``|rows[later] - rows[earlier]| <= tol``
+    in every entry, in no particular order.
+
+    Rows are sorted on a weighted sum of their entries; only rows whose
+    keys lie within a margin of each other are compared entrywise.  Two
+    rows within ``tol`` have exact keys at most ``2·dim·tol`` apart, with
+    weights in [1, 2); ``margin`` doubles that bound and the rounding error
+    of both keys, so no pair is missed.  Scaling by a power of two keeps
+    the keys finite.
+    """
+    count, dim = rows.shape
+    exp = math.frexp(float(np.abs(rows).max()))[1]
+    scaled = np.ldexp(rows, -exp)
+    keys = scaled @ (1.0 + (np.arange(dim) * 0.6180339887498949) % 1.0)
+    bound = math.ldexp(tol, -exp) + _EPS * np.abs(scaled).sum(axis=1) + _TINY
+    margin = 4 * dim * bound
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    ends = np.searchsorted(sorted_keys, sorted_keys + margin[order], side="right")
+    widths = ends - np.arange(count) - 1
+    later, earlier = [], []
+    # Compare each row with its step-th sorted neighbour, one step at a
+    # time, so memory stays at one row block however wide the windows are.
+    active, step = np.flatnonzero(widths), 1
+    while active.size:
+        a, b = order[active], order[active + step]
+        near = np.abs(rows[a] - rows[b]).max(axis=1) <= tol
+        later.append(np.maximum(a, b)[near])
+        earlier.append(np.minimum(a, b)[near])
+        step += 1
+        active = active[widths[active] >= step]
+    if not later:
+        return np.empty(0, dtype=int), np.empty(0, dtype=int)
+    return np.concatenate(later), np.concatenate(earlier)
 
 
 def _dedup_indices(arr: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Indices of first occurrences, merging members within ``tol``."""
-    flat = arr.reshape(arr.shape[0], -1)
-    seen: set[bytes] = set()
-    kept: list[int] = []
-    reps = np.empty_like(flat)
-    for i in range(flat.shape[0]):
-        key = flat[i].tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        n = len(kept)
-        if n and n <= _DEDUP_PAIRWISE_LIMIT:
-            if (np.abs(reps[:n] - flat[i]).max(axis=1) <= tol).any():
-                continue
-        reps[n] = flat[i]
-        kept.append(i)
-    return np.asarray(kept, dtype=int)
+    """Indices of first occurrences, merging members within ``tol``.
+
+    In enumeration order, a member is dropped when its bytes repeat an
+    earlier member's, or when it lies within ``tol`` entrywise of an
+    earlier kept member while at most ``_DEDUP_PAIRWISE_LIMIT`` members are
+    kept before it.  Exact repeats go in one ``np.unique``; the sequential
+    rule is replayed only over members that have an earlier near partner.
+    """
+    flat = np.ascontiguousarray(arr.reshape(arr.shape[0], -1))
+    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    later, earlier = _near_pairs(flat[first], tol)
+    if not later.size:
+        return first
+    by_later = np.argsort(later, kind="stable")
+    later, earlier = later[by_later], earlier[by_later]
+    contested, starts = np.unique(later, return_index=True)
+    stops = np.append(starts[1:], len(later))
+    keep = np.ones(len(first), dtype=bool)
+    dropped = 0
+    for i, start, stop in zip(contested.tolist(), starts.tolist(), stops.tolist()):
+        # Every position before i is kept unless dropped, and the first
+        # member always is, so i - dropped >= 1 members are kept before i.
+        if i - dropped > _DEDUP_PAIRWISE_LIMIT:
+            break
+        if keep[earlier[start:stop]].any():
+            keep[i] = False
+            dropped += 1
+    return first[keep]
 
 
 class MatrixSet(abc.ABC):
@@ -356,6 +408,10 @@ class Scale(_ExprNode):
         return _node_result(self.t * arr, dedup=False)
 
 
+#: Byte budget of one block of the Hausdorff difference tensor.
+_HAUSDORFF_BLOCK_BYTES = 1 << 24
+
+
 def transpose_set(a: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
     """Finite set of the transposes of every member, order preserved."""
     return FiniteSet._of_stack(a.stack(cap).transpose(0, 2, 1))
@@ -375,8 +431,17 @@ def hausdorff_distance(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> fl
     va = a.stack(cap).reshape(-1, a.shape[0] * a.shape[1])
     vb = b.stack(cap).reshape(-1, b.shape[0] * b.shape[1])
     _check_cap(len(va) * len(vb), cap)
-    dists = np.abs(va[:, None, :] - vb[None, :, :]).max(axis=2)
-    return float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
+    # The (rows, kb, n*m) difference tensor is built a block of rows of va
+    # at a time, within _HAUSDORFF_BLOCK_BYTES; minima are exact, so the
+    # result does not depend on the block size.
+    block = max(1, _HAUSDORFF_BLOCK_BYTES // vb.nbytes)
+    row_min = np.empty(len(va))
+    col_min = np.full(len(vb), np.inf)
+    for start in range(0, len(va), block):
+        dists = np.abs(va[start : start + block, None, :] - vb[None, :, :]).max(axis=2)
+        row_min[start : start + block] = dists.min(axis=1)
+        np.minimum(col_min, dists.min(axis=0), out=col_min)
+    return float(max(row_min.max(), col_min.max()))
 
 
 def hull_points(

@@ -9,7 +9,8 @@ import math
 
 import numpy as np
 
-from hourglass import FiniteSet, Matrix, hausdorff_distance
+from hourglass import DEDUP_TOL, FiniteSet, Matrix, hausdorff_distance
+from hourglass.sets import _DEDUP_PAIRWISE_LIMIT
 
 
 def rho_2x2_closed_form(entries) -> float:
@@ -50,3 +51,28 @@ def random_finite_set(rng, n, m, count, zero_prob=0.0) -> FiniteSet:
             entries = np.where(rng.uniform(size=(n, m)) < zero_prob, 0.0, entries)
         mats.append(Matrix(entries))
     return FiniteSet(mats)
+
+
+def dedup_indices_reference(arr, tol=DEDUP_TOL, limit=_DEDUP_PAIRWISE_LIMIT):
+    """The first-occurrence dedup rule as a plain sequential loop.
+
+    A member whose bytes were seen before is dropped; otherwise, while
+    1..limit members are kept, it is dropped when some kept member lies
+    within ``tol`` of it entrywise.
+    """
+    flat = arr.reshape(arr.shape[0], -1)
+    seen: set[bytes] = set()
+    kept: list[int] = []
+    reps = np.empty_like(flat)
+    for i in range(flat.shape[0]):
+        key = flat[i].tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        n = len(kept)
+        if n and n <= limit:
+            if (np.abs(reps[:n] - flat[i]).max(axis=1) <= tol).any():
+                continue
+        reps[n] = flat[i]
+        kept.append(i)
+    return np.asarray(kept, dtype=int)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from hourglass import (
+    FiniteSet,
     Matrix,
     Product,
     Sum,
@@ -104,7 +105,11 @@ def test_criterion_4_hourglass_alternative():
     for trial in range(50):
         n, m = (int(x) for x in rng.integers(2, 4, size=2))
         mset = random_iru_set(rng, n, m, max_rows_per_set=3)
+        # An IRU set passes by the row-swap argument; its enumeration still
+        # runs the sampled check on every member.
         iru_ok &= check_hset_sampled(mset, n_probes=50, rng_seed=trial).passed
+        members = FiniteSet(mset.members())
+        iru_ok &= check_hset_sampled(members, n_probes=50, rng_seed=trial).passed
 
     algebra_ok = True
     for trial in range(20):

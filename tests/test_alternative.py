@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hourglass import (
+    CapExceededError,
     FiniteSet,
     IRUSet,
     LinearlyOrderedSet,
@@ -99,8 +100,69 @@ def test_sampled_check_passes_on_random_positive_iru(rng):
     for trial in range(15):
         n, m = (int(x) for x in rng.integers(2, 5, size=2))
         iru = random_iru_set(rng, n, m, 4)
-        outcome = check_hset_sampled(iru, 50, rng_seed=trial)
+        assert check_hset_sampled(iru, 50, rng_seed=trial).passed, trial
+        # The enumerated members take the sampled path.
+        outcome = check_hset_sampled(FiniteSet(iru.members()), 50, rng_seed=trial)
         assert outcome.passed, trial
+
+
+def _iru_with_zeros_and_repeats(rng, trial):
+    n, m = (int(x) for x in rng.integers(1, 4, size=2))
+    row_sets = []
+    for _ in range(n):
+        rows = rng.uniform(0.0, 1.0, size=(int(rng.integers(1, 4)), m))
+        if trial % 2:
+            rows = np.where(rng.uniform(size=rows.shape) < 0.3, 0.0, rows)
+        if trial % 5 == 0:
+            rows = np.concatenate([rows, rows[:1]])
+        row_sets.append(rows)
+    return IRUSet(row_sets)
+
+
+def test_iru_verdict_matches_the_enumerated_check(rng):
+    # Half the sets have 30% zero entries and every fifth repeats a row.
+    for trial in range(200):
+        iru = _iru_with_zeros_and_repeats(rng, trial)
+        got = check_hset_sampled(iru, 6, rng_seed=trial)
+        enumerated = check_hset_sampled(FiniteSet(iru.members()), 6, rng_seed=trial)
+        assert (got.passed, got.failures) == (True, ())
+        assert (enumerated.passed, len(enumerated.failures)) == (True, 0), trial
+
+
+def test_iru_check_never_enumerates(monkeypatch):
+    rows = np.linspace(0.0, 1.0, 60).reshape(20, 3)
+    iru = IRUSet([rows] * 50)
+    assert iru.cardinality == 20 ** 50
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the IRU set was enumerated")
+
+    monkeypatch.setattr(IRUSet, "stack", refuse)
+    monkeypatch.setattr(IRUSet, "take", refuse)
+    outcome = check_hset_sampled(iru, 10, rng_seed=0, cap=1)
+    assert outcome.passed and outcome.failures == ()
+
+
+def test_minkowski_nodes_of_iru_sets_take_the_sampled_path(rng):
+    # The cap is checked only when the members are enumerated.
+    a = random_iru_set(rng, 2, 2, 2)
+    b = IRUSet([[[1.0, 2.0], [2.0, 1.0]], [[1.0, 1.0], [3.0, 0.5]]])
+    for node in (Sum(a, b), Product(a, b)):
+        with pytest.raises(CapExceededError):
+            check_hset_sampled(node, 5, rng_seed=0, cap=1)
+    assert check_hset_sampled(b, 5, rng_seed=0, cap=1).passed
+
+
+def test_negative_tol_is_rejected(chain):
+    with pytest.raises(ValueError, match="tolerance"):
+        check_hset_sampled(chain, 5, rng_seed=0, tol=-1e-12)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_hset_sampled(IRUSet([[[1.0, 2.0]]]), 5, rng_seed=0, tol=-1.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        check_hourglass_at(chain, chain.elements[0], [1.0, 1.0], tol=-1e-12)
+    # tol == 0 is allowed: a one-member set then holds at every probe.
+    single = FiniteSet([Matrix([[1.0, 2.0], [3.0, 4.0]])])
+    assert check_hset_sampled(single, 5, rng_seed=0, tol=0.0).passed
 
 
 def test_sampled_check_passes_on_minkowski_closures(rng):

@@ -28,9 +28,10 @@ from hourglass import (
     set_to_json,
     transpose_set,
 )
-from hourglass.sets import hull_points
+from hourglass import sets as sets_module
+from hourglass.sets import _DEDUP_PAIRWISE_LIMIT, _dedup_indices, hull_points
 
-from helpers import diag, random_finite_set, sets_equal
+from helpers import dedup_indices_reference, diag, random_finite_set, sets_equal
 
 
 # --- representations ----------------------------------------------------------
@@ -643,6 +644,67 @@ def test_dedup_merges_only_exact_duplicates_past_the_limit():
     assert values[4096:].tolist() == [
         base[4096], base[4096] + 5e-13, base[4097], base[4097] + 5e-13
     ]
+
+
+def _collision_stack(rng, count, shape):
+    """Small-integer members, a fifth each replaced by an exact repeat, a
+    near repeat (0.5 to 2 DEDUP_TOL away), a sign-flipped zero, or a point
+    0.3 to 1.2 DEDUP_TOL from another replaced member, which may itself be
+    dropped."""
+    base = rng.integers(0, 3, size=(count, *shape)).astype(float)
+    out = base.copy()
+    kind = rng.integers(0, 5, size=count)
+    source = rng.integers(0, count, size=count)
+    noise = rng.choice([-2e-12, -5e-13, 5e-13, 9e-13, 1.5e-12], size=out.shape)
+    for k in range(1, 5):
+        pick = kind == k
+        if k == 1:
+            out[pick] = base[source[pick]]
+        elif k == 2:
+            out[pick] = base[source[pick]] + noise[pick]
+        elif k == 3:
+            out[pick] = -0.0 * base[source[pick]]
+        else:
+            out[pick] = out[source[pick]] + 0.6 * noise[pick]
+    return out
+
+
+@pytest.mark.parametrize("limit", [_DEDUP_PAIRWISE_LIMIT, 1, 5, 30])
+def test_dedup_matches_the_sequential_reference(monkeypatch, rng, limit):
+    monkeypatch.setattr(sets_module, "_DEDUP_PAIRWISE_LIMIT", limit)
+    merged = 0
+    for trial in range(75):
+        count = int(rng.integers(1, 200))
+        shape = tuple(int(x) for x in rng.integers(1, 3, size=2))
+        arr = _collision_stack(rng, count, shape)
+        got = _dedup_indices(arr)
+        assert np.array_equal(got, dedup_indices_reference(arr, limit=limit)), trial
+        merged += count - len(got)
+    assert merged > 1000
+
+
+def test_dedup_matches_the_sequential_reference_across_the_limit():
+    # Near duplicates on both sides of 4,096 kept members, some of them
+    # within DEDUP_TOL of a dropped member only.
+    for n in (4096, 4098, 4200):
+        base = 1e-3 * np.arange(n)
+        arr = base[:, None] + np.array([0.0, 6e-13, 0.0, 1.2e-12])
+        arr = arr.reshape(-1, 1, 1)
+        got = _dedup_indices(arr)
+        assert np.array_equal(got, dedup_indices_reference(arr)), n
+
+
+def test_hausdorff_in_row_blocks_matches_the_unchunked_formula(monkeypatch, rng):
+    for trial in range(10):
+        a = random_finite_set(rng, 2, 3, int(rng.integers(1, 30)), zero_prob=0.3)
+        b = random_finite_set(rng, 2, 3, int(rng.integers(1, 30)), zero_prob=0.3)
+        va = a.stack().reshape(len(a), -1)
+        vb = b.stack().reshape(len(b), -1)
+        dists = np.abs(va[:, None, :] - vb[None, :, :]).max(axis=2)
+        expected = float(max(dists.min(axis=1).max(), dists.min(axis=0).max()))
+        for budget in (1, 3 * vb.nbytes, 1 << 24):
+            monkeypatch.setattr(sets_module, "_HAUSDORFF_BLOCK_BYTES", budget)
+            assert hausdorff_distance(a, b) == expected
 
 
 def test_hausdorff_checks_the_pair_cap(rng):

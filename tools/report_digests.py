@@ -84,17 +84,25 @@ cases = [
     ["saddle", f["iru_a"], f["ex4"], "--certify"],
     ["minimax", f["ex4"], f["big_a"]],                           # shape error, exit 2
 ]
-for argv in cases:
+
+def run(argv, label=None):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
-    text = out.getvalue()
     rel = [os.path.basename(a) if a.startswith(work) else a for a in argv]
-    print(code, hashlib.sha256(text.encode()).hexdigest()[:16], " ".join(rel))
+    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], label or " ".join(rel))
+
+for argv in cases:
+    run(argv)
 # environment cap
 os.environ["HOURGLASS_CAP"] = "x"
 for argv in (["spectral", f["id2"]], ["algebra", f["ex4"]]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(argv)
-    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], "HOURGLASS_CAP=x", argv[0])
+    run(argv, "HOURGLASS_CAP=x " + argv[0])
+del os.environ["HOURGLASS_CAP"]
+# 4,900 sums of small-integer matrices, every other right member off by
+# 5e-13: exact and near duplicates leave 540 members.
+grid = [np.array([[i % 3, i // 3 % 3], [i // 9 % 3, i // 27]], dtype=float) for i in range(70)]
+dup = {"kind": "expr", "expr": {"op": "sum", "left": {"op": "leaf", "set": finite(grid)},
+       "right": {"op": "leaf", "set": finite([g + 5e-13 * (i % 2) for i, g in enumerate(grid)])}}}
+run(["algebra", dump("dup.json", dup)])
+run(["hset-check", f["big_a"], "--probes", "4", "--cap", "10"])   # 81 IRU members past the cap
