@@ -14,6 +14,7 @@ first-occurrence deduplication.
 from __future__ import annotations
 
 import abc
+import functools
 import math
 from typing import ClassVar
 
@@ -37,41 +38,28 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).smallest_subnormal)
 
 
-def _near_pairs(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row pairs (later, earlier) with ``|rows[later] - rows[earlier]| <= tol``
-    in every entry, in no particular order.
+@functools.cache
+def _key_weights(dim: int) -> np.ndarray:
+    """Weights in [1, 2) that keep rows with permuted entries apart."""
+    return readonly(1.0 + (np.arange(dim) * 0.6180339887498949) % 1.0)
 
-    Rows are sorted on a weighted sum of their entries; only rows whose
-    keys lie within a margin of each other are compared entrywise.  Two
-    rows within ``tol`` have exact keys at most ``2·dim·tol`` apart, with
-    weights in [1, 2); ``margin`` doubles that bound and the rounding error
-    of both keys, so no pair is missed.  Scaling by a power of two keeps
-    the keys finite.
+
+def _window_keys(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort keys of ``rows`` and the half-width of each row's key window.
+
+    The key is a weighted sum of a row's entries, weights in [1, 2), after
+    scaling down by a power of two that keeps the sums finite.  Rows within
+    ``tol`` have exact keys at most ``2·dim·tol`` apart, and a computed key
+    is off by at most ``dim·eps·sum|row|`` plus subnormal rounding; the
+    half-width doubles that bound for either row, so every near partner of
+    a row lies in its window.
     """
-    count, dim = rows.shape
-    exp = math.frexp(float(np.abs(rows).max()))[1]
+    dim = rows.shape[1]
+    exp = max(math.frexp(float(np.abs(rows).max()))[1], 0)
     scaled = np.ldexp(rows, -exp)
-    keys = scaled @ (1.0 + (np.arange(dim) * 0.6180339887498949) % 1.0)
-    bound = math.ldexp(tol, -exp) + _EPS * np.abs(scaled).sum(axis=1) + _TINY
-    margin = 4 * dim * bound
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    ends = np.searchsorted(sorted_keys, sorted_keys + margin[order], side="right")
-    widths = ends - np.arange(count) - 1
-    later, earlier = [], []
-    # Compare each row with its step-th sorted neighbour, one step at a
-    # time, so memory stays at one row block however wide the windows are.
-    active, step = np.flatnonzero(widths), 1
-    while active.size:
-        a, b = order[active], order[active + step]
-        near = np.abs(rows[a] - rows[b]).max(axis=1) <= tol
-        later.append(np.maximum(a, b)[near])
-        earlier.append(np.minimum(a, b)[near])
-        step += 1
-        active = active[widths[active] >= step]
-    if not later:
-        return np.empty(0, dtype=int), np.empty(0, dtype=int)
-    return np.concatenate(later), np.concatenate(earlier)
+    sums = np.abs(scaled).sum(axis=1)
+    half = (4 * dim * _EPS) * sums + 4 * dim * (math.ldexp(tol, -exp) + _TINY)
+    return scaled @ _key_weights(dim), half
 
 
 def _dedup_indices(arr: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
@@ -80,30 +68,43 @@ def _dedup_indices(arr: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     In enumeration order, a member is dropped when its bytes repeat an
     earlier member's, or when it lies within ``tol`` entrywise of an
     earlier kept member while at most ``_DEDUP_PAIRWISE_LIMIT`` members are
-    kept before it.  Exact repeats go in one ``np.unique``; the sequential
-    rule is replayed only over members that have an earlier near partner.
+    kept before it.  Only members whose key window holds another member
+    can be dropped, so the rule is replayed over those alone: exact
+    repeats go in one ``np.unique``, and each member kept marks the later
+    members near it in its window, so the comparisons stay within the
+    plain loop's members × kept.
     """
-    flat = np.ascontiguousarray(arr.reshape(arr.shape[0], -1))
-    keys = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
-    first = np.sort(np.unique(keys, return_index=True)[1])
-    later, earlier = _near_pairs(flat[first], tol)
-    if not later.size:
-        return first
-    by_later = np.argsort(later, kind="stable")
-    later, earlier = later[by_later], earlier[by_later]
-    contested, starts = np.unique(later, return_index=True)
-    stops = np.append(starts[1:], len(later))
-    keep = np.ones(len(first), dtype=bool)
+    rows = arr.reshape(arr.shape[0], -1)
+    keys, half = _window_keys(rows, tol)
+    order = np.argsort(keys, kind="stable")
+    starts = np.searchsorted(keys[order], keys - half, side="left")
+    stops = np.searchsorted(keys[order], keys + half, side="right")
+    crowded = np.flatnonzero(stops - starts > 1)
+    if not crowded.size:
+        return np.arange(len(rows))
+    keep = np.ones(len(rows), dtype=bool)
+    flat = rows[crowded]
+    repeat = np.ones(len(crowded), dtype=bool)
+    bytes_ = flat.view(np.dtype((np.void, flat.itemsize * flat.shape[1])))[:, 0]
+    repeat[np.unique(bytes_, return_index=True)[1]] = False
+    keep[crowded[repeat]] = False
+    marked = ~keep
     dropped = 0
-    for i, start, stop in zip(contested.tolist(), starts.tolist(), stops.tolist()):
+    for i, start, stop in zip(
+        crowded.tolist(), starts[crowded].tolist(), stops[crowded].tolist()
+    ):
         # Every position before i is kept unless dropped, and the first
         # member always is, so i - dropped >= 1 members are kept before i.
         if i - dropped > _DEDUP_PAIRWISE_LIMIT:
             break
-        if keep[earlier[start:stop]].any():
+        if marked[i]:
             keep[i] = False
             dropped += 1
-    return first[keep]
+            continue
+        later = order[start:stop]
+        later = later[(later > i) & ~marked[later]]
+        marked[later[np.abs(rows[later] - rows[i]).max(axis=1) <= tol]] = True
+    return np.flatnonzero(keep)
 
 
 class MatrixSet(abc.ABC):

@@ -215,12 +215,25 @@ def test_reported_witnesses_satisfy_their_inequalities(rng):
     assert checked > 0  # random probes do produce witnesses
 
 
+def _assert_same_reports(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.probe_matrix == e.probe_matrix
+        assert np.array_equal(g.probe_vector, e.probe_vector)
+        for branch_g, branch_e in ((g.h1, e.h1), (g.h2, e.h2)):
+            assert branch_g.all_on_side == branch_e.all_on_side
+            assert branch_g.witness == branch_e.witness
+
+
 def test_sampled_check_is_deterministic(rng):
+    # Enumerated sets take the sampled path; Example 4 fails at its draws.
     iru = random_iru_set(rng, 2, 2, 3)
-    first = check_hset_sampled(iru, 20, rng_seed=9)
-    second = check_hset_sampled(iru, 20, rng_seed=9)
-    assert first.passed == second.passed
-    assert len(first.failures) == len(second.failures)
+    for mset in (FiniteSet(iru.members()), ex4_set()):
+        first = check_hset_sampled(mset, 20, rng_seed=9)
+        second = check_hset_sampled(mset, 20, rng_seed=9)
+        assert first.passed == second.passed
+        _assert_same_reports(first.failures, second.failures)
+    assert not first.passed and first.failures
 
 
 def _reference_failures(mset, n_probes, seed):
@@ -251,12 +264,6 @@ def test_sampled_check_matches_a_loop_over_single_probes(rng):
     for seed, mset in enumerate(sets):
         got = check_hset_sampled(mset, 8, rng_seed=seed).failures
         expected = _reference_failures(mset, 8, seed)
-        assert len(got) == len(expected), seed
-        for g, e in zip(got, expected):
-            assert g.probe_matrix == e.probe_matrix
-            assert np.array_equal(g.probe_vector, e.probe_vector)
-            for branch_g, branch_e in ((g.h1, e.h1), (g.h2, e.h2)):
-                assert branch_g.all_on_side == branch_e.all_on_side
-                assert branch_g.witness == branch_e.witness
+        _assert_same_reports(got, expected)
         compared += len(got)
     assert compared > 100  # the sparse sets do fail

@@ -3,6 +3,7 @@
 import itertools
 import json
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -692,6 +693,40 @@ def test_dedup_matches_the_sequential_reference_across_the_limit():
         arr = arr.reshape(-1, 1, 1)
         got = _dedup_indices(arr)
         assert np.array_equal(got, dedup_indices_reference(arr)), n
+
+
+@pytest.mark.parametrize("limit", [_DEDUP_PAIRWISE_LIMIT, 3])
+def test_dedup_matches_the_sequential_reference_on_wide_windows(monkeypatch, rng, limit):
+    # Entries below 3 DEDUP_TOL: every key window holds the whole stack and
+    # near pairs chain, so several members are kept; a third are repeats.
+    monkeypatch.setattr(sets_module, "_DEDUP_PAIRWISE_LIMIT", limit)
+    for trial in range(40):
+        count = int(rng.integers(1, 300))
+        arr = rng.uniform(0.0, 3e-12, size=(count, 2, 1))
+        repeat = rng.uniform(size=count) < 0.3
+        arr[repeat] = arr[rng.integers(0, count, size=int(repeat.sum()))]
+        got = _dedup_indices(arr)
+        assert np.array_equal(got, dedup_indices_reference(arr, limit=limit)), trial
+
+
+def test_dedup_of_one_large_cluster_compares_with_the_kept_member_only(rng):
+    # 90,000 sums lie pairwise within DEDUP_TOL; only the first is kept.
+    f = random_finite_set(rng, 2, 2, 300)
+    g = random_finite_set(rng, 2, 2, 300)
+    start = time.perf_counter()
+    got = Sum(Scale(1e-13, f), Scale(1e-13, g)).stack()
+    elapsed = time.perf_counter() - start
+    arr = (1e-13 * f.stack()[:, None] + 1e-13 * g.stack()[None]).reshape(-1, 2, 2)
+    kept = dedup_indices_reference(arr)
+    assert kept.tolist() == [0]
+    assert np.array_equal(got, arr[kept])
+    assert elapsed < 5.0
+
+
+def test_dedup_of_subnormal_entries():
+    assert FiniteSet([Matrix([[1e-322]]), Matrix([[0.0]])]).has_duplicates
+    arr = np.array([1e-322, 0.0, 5e-324, 2e-12, -0.0]).reshape(-1, 1, 1)
+    assert np.array_equal(_dedup_indices(arr), dedup_indices_reference(arr))
 
 
 def test_hausdorff_in_row_blocks_matches_the_unchunked_formula(monkeypatch, rng):
