@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 property failure (a gap above tolerance under
 --require-equality, or a failed alternative check), 2 unusable input
 (malformed JSON, schema violations, shape or cap errors), 3 numerical
 non-convergence.  All randomness derives from --seed, so identical
-invocations produce byte-identical reports.  The environment variable
-HOURGLASS_CAP overrides the default enumeration cap; an explicit --cap
-flag wins over both.
+invocations produce byte-identical reports.  Each report is the text the
+standard library's ``json.dumps`` writes with an indent of 2 and sorted
+keys, and a newline.  The environment variable HOURGLASS_CAP overrides the
+default enumeration cap; an explicit --cap flag wins over both.
 """
 
 from __future__ import annotations
@@ -17,12 +18,20 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .alternative import HourglassReport, check_hset_sampled
 from .errors import CapExceededError, ParseError, ShapeError
-from .linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, Matrix, PerronData, spectral_radius
+from .linalg import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
+    Matrix,
+    PerronData,
+    matrix_json,
+    spectral_radius,
+)
 from .saddle import (
     certify_saddle,
     check_saddle_hull_samples,
@@ -182,9 +191,7 @@ def _cmd_hausdorff(args: argparse.Namespace) -> tuple[int, dict]:
 
 def _cmd_algebra(args: argparse.Namespace) -> tuple[int, dict]:
     stack = _load_set(args.set).stack(args.cap)
-    rows, cols = stack.shape[1:]
-    matrices = [{"rows": rows, "cols": cols, "data": a.tolist()} for a in stack]
-    return EXIT_OK, {"kind": "finite", "matrices": matrices}
+    return EXIT_OK, {"kind": "finite", "matrices": [matrix_json(a) for a in stack]}
 
 
 def _cmd_batch(args: argparse.Namespace) -> tuple[int, dict]:
@@ -219,8 +226,83 @@ def _cmd_batch(args: argparse.Namespace) -> tuple[int, dict]:
     return EXIT_OK, report
 
 
+#: ``float.__repr__`` of the non-finite floats and their JSON words.
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _scalar_text(o) -> str:
+    """JSON text of a scalar, tested in the standard library's order."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def report_text(report) -> str:
+    """``report`` as ``json.dumps`` writes it with indent 2 and sorted keys.
+
+    With an indent, the standard library leaves its C encoder for a
+    pure-Python one.  Here each list of floats is one ``str.join``, and
+    each distinct row of floats is formatted once per report: the members
+    of a Minkowski sum share their rows.  Dict keys must be strings.
+    """
+    return _text(report, "\n", {})
+
+
+def _text(o, nl: str, rows: dict) -> str:
+    """JSON text of ``o``, closed by ``nl`` (a newline and the indentation).
+
+    ``rows`` caches the text of each row of floats for one report.  It is
+    passed down, not closed over: a nested function that calls itself is a
+    reference cycle, which would hold each report's strings until the next
+    garbage collection and raise peak RSS.
+    """
+    inner = nl + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if type(o[0]) is float and not [x for x in o if type(x) is not float]:
+            # Equal rows of floats have equal text, except that -0.0 == 0.0,
+            # so rows with a zero are not cached.  The exact type test keeps
+            # out True, which equals 1.0.
+            key = None if 0.0 in o else (nl, *o)
+            row = rows.get(key)
+            if row is None:
+                row = "[" + inner + ("," + inner).join(map(_float_text, o)) + nl + "]"
+                if key is not None:
+                    rows[key] = row
+            return row
+        items = [_text(x, inner, rows) for x in o]
+        opening, closing = "[", "]"
+    elif isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _text(v, inner, rows)
+            for k, v in sorted(o.items())
+        ]
+        opening, closing = "{", "}"
+    else:
+        return _scalar_text(o)
+    return opening + inner + ("," + inner).join(items) + nl + closing
+
+
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = report_text(report) + "\n"
     if output is None:
         sys.stdout.write(text)
     else:

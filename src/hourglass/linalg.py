@@ -38,6 +38,16 @@ def readonly(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def matrix_json(data: np.ndarray) -> dict:
+    """Wire form ``{"rows": N, "cols": M, "data": [[...], ...]}`` of a 2-D array.
+
+    The array is not validated, so a member of an already checked stack
+    costs one ``tolist``.
+    """
+    rows, cols = data.shape
+    return {"rows": rows, "cols": cols, "data": data.tolist()}
+
+
 class Matrix:
     """Immutable dense matrix with non-negative float64 entries.
 
@@ -110,11 +120,7 @@ class Matrix:
 
     def to_json(self) -> dict:
         """Wire form ``{"rows": N, "cols": M, "data": [[...], ...]}``."""
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "data": self._data.tolist(),
-        }
+        return matrix_json(self._data)
 
     @classmethod
     def from_json(cls, obj, location: str = "$") -> "Matrix":

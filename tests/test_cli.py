@@ -5,8 +5,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hourglass.cli import main
+from hourglass import cli
+from hourglass.cli import main, report_text
 
 from helpers import ex4_set
 
@@ -421,3 +424,111 @@ def test_expr_sets_are_evaluated_once_per_invocation(tmp_path, capsys, monkeypat
         code, _ = run_cli(capsys, argv[0], *paths, *argv[1:])
         assert code == 0
         assert len(evaluations) == 2, argv
+
+
+def stdlib_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_every_report_is_the_standard_indented_encoding(files, tmp_path, capsys, monkeypatch):
+    # Each report, error and exit-3 reports included, is its own stdlib
+    # re-encoding, and also the stdlib encoding of the object it was written from.
+    def dump(name, obj):
+        p = tmp_path / name
+        p.write_text(json.dumps(obj))
+        return str(p)
+
+    def iru(row_sets):
+        return {"op": "leaf", "set": {"kind": "iru", "row_sets": row_sets}}
+
+    # the 216 sums of two IRU sets are built from 18 distinct rows
+    rows = np.random.default_rng(10).uniform(0.05, 1, size=(3, 3, 3))
+    shared_rows = dump("sum.json", {"kind": "expr", "expr": {
+        "op": "sum", "left": iru(rows.tolist()), "right": iru(rows[:, :2].tolist())}})
+    signed_zeros = dump("zeros.json", {"kind": "finite", "matrices": [
+        {"rows": 2, "cols": 2, "data": [[0.0, 1.0], [2.0, 3.0]]},
+        {"rows": 2, "cols": 2, "data": [[-0.0, 1.0], [5.0, 6.0]]}]})
+    cycle = dump("cycle.json", {"rows": 2, "cols": 2, "data": [[0, 1], [4, 0]]})
+    f = files
+    runs = [
+        (0, ["spectral", f["id2.json"]]),
+        (3, ["spectral", cycle, "--max-iter", "500"]),
+        (0, ["minimax", f["iru_a.json"], f["iru_b.json"], "--table"]),
+        (1, ["minimax", f["ex4.json"], f["ex4.json"], "--require-equality"]),
+        (2, ["minimax", f["bad.json"], f["ex4.json"]]),
+        (2, ["minimax", f["iru_a.json"], f["iru_b.json"], "--cap", "1"]),
+        (0, ["saddle", f["iru_a.json"], f["iru_b.json"], "--certify", "--hull-samples", "20"]),
+        (2, ["saddle", f["iru_a.json"], f["iru_b.json"], "--tol", "0"]),
+        (0, ["hset-check", f["iru_a.json"]]),
+        (1, ["hset-check", f["ex4.json"], "--probes", "5", "--seed", "1"]),
+        (0, ["hausdorff", f["ex4.json"], f["expr.json"]]),
+        (0, ["algebra", f["expr.json"]]),
+        (0, ["algebra", shared_rows]),
+        (0, ["algebra", signed_zeros]),
+        (2, ["algebra", f["ex4.json"], "--cap", "0"]),
+        (0, ["batch", "--trials", "3", "--seed", "11"]),
+    ]
+    written, texts = [], {}
+
+    def recording(report):
+        written.append(report)
+        return report_text(report)
+
+    monkeypatch.setattr(cli, "report_text", recording)
+    for code, argv in runs:
+        assert main(argv) == code, argv
+        text = texts[argv[-1]] = capsys.readouterr().out
+        assert text == stdlib_text(json.loads(text)) + "\n", argv
+        assert text == stdlib_text(written[-1]) + "\n", argv
+    assert len(written) == len(runs)
+    assert "[\n          -0.0,\n          1.0\n        ]" in texts[signed_zeros]
+
+
+_NAN, _INF = float("nan"), float("inf")
+#: Floats whose texts are easy to mix up, and two values equal to 1.0.
+_TRICKY = [0.0, -0.0, 1.0, 0.5, 1e16, 1e15, 1e-05, 0.0001, _NAN, _INF, -_INF, True, 1]
+_rows = st.lists(st.sampled_from(_TRICKY) | st.floats(), min_size=1, max_size=3)
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+_values = st.recursive(
+    _scalars | _rows,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_values)
+def test_report_text_matches_the_stdlib_encoder(value):
+    assert report_text(value) == stdlib_text(value)
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        # -0.0 == 0.0, but the two rows print differently, in either order
+        {"a": [[0.0, 1.0], [-0.0, 1.0]], "b": [[-0.0, 1.0], [0.0, 1.0]]},
+        # True == 1 == 1.0: a row with a bool or an int is not the float row
+        [[1.0, 1.0], [1.0, True], [1.0, 1]],
+        # the same row at two depths has two indentations
+        {"a": [2.5, 0.5], "b": {"c": [2.5, 0.5]}},
+        [[_NAN, _INF, -_INF], [_NAN, _INF, -_INF], _NAN, -_INF],
+        # float.__repr__ turns to exponents at 1e16 and below 1e-04
+        [[1e16, 1e-05], [1e15, 0.0001], [9999999999999998.0, -1e16, 1.5e-05]],
+        {"": [], "\u00e9\u6f22": {}, "k": ["\u2603", None, False, 7, -0.0]},
+    ],
+    ids=["signed-zero", "bool-and-int", "depth", "non-finite", "repr-boundaries", "scalars"],
+)
+def test_report_text_traps(report):
+    assert report_text(report) == stdlib_text(report)
+
+
+def test_report_text_rejects_what_json_rejects():
+    for bad in (np.float32(1.0), np.int64(1), {1, 2}, {"a": object()}):
+        with pytest.raises(TypeError):
+            stdlib_text(bad)
+        with pytest.raises(TypeError):
+            report_text(bad)
+    # numpy float64 is a float: both write it through float.__repr__
+    assert report_text([np.float64(0.1), np.float64(2.0)]) == "[\n  0.1,\n  2.0\n]"

@@ -1,5 +1,8 @@
 """Run a fixed list of CLI invocations and print exit code + sha256 of the report.
 
+Each report must also equal the standard library's indented encoding of
+its own parse; the script exits 1 after its lines if one does not.
+
 usage: python tools/report_digests.py SRC_DIR WORK_DIR
 """
 import contextlib, hashlib, io, json, os, sys
@@ -85,12 +88,18 @@ cases = [
     ["minimax", f["ex4"], f["big_a"]],                           # shape error, exit 2
 ]
 
+mismatched = []
+
 def run(argv, label=None):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
+    text = out.getvalue()
     rel = [os.path.basename(a) if a.startswith(work) else a for a in argv]
-    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16], label or " ".join(rel))
+    label = label or " ".join(rel)
+    print(code, hashlib.sha256(text.encode()).hexdigest()[:16], label)
+    if text != json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n":
+        mismatched.append(label)
 
 for argv in cases:
     run(argv)
@@ -106,3 +115,5 @@ dup = {"kind": "expr", "expr": {"op": "sum", "left": {"op": "leaf", "set": finit
        "right": {"op": "leaf", "set": finite([g + 5e-13 * (i % 2) for i, g in enumerate(grid)])}}}
 run(["algebra", dump("dup.json", dup)])
 run(["hset-check", f["big_a"], "--probes", "4", "--cap", "10"])   # 81 IRU members past the cap
+if mismatched:
+    sys.exit("reports that differ from the stdlib encoding of their parse: " + "; ".join(mismatched))
