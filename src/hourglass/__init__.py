@@ -7,6 +7,11 @@ independent-row-uncertainty sets and polynomial set expressions, the
 two-sided image alternative checks, a saddle solver (row-wise on IRU
 sets, exhaustive otherwise) with eigenvector certificates valid over
 convex hulls, and a JSON command-line interface.
+
+Every set hands out its members as one read-only float64 array.  Saddle
+pairs, best responses, probe matrices and witnesses are read-only copies of
+members; ``Matrix`` is the validated type of matrices that callers and JSON
+files supply.
 """
 
 from .alternative import (
@@ -23,7 +28,6 @@ from .linalg import (
     PerronData,
     collatz_wielandt_lower,
     collatz_wielandt_upper,
-    mat_mul,
     spectral_radius,
 )
 from .saddle import (
@@ -47,14 +51,11 @@ from .sets import (
     Product,
     Scale,
     Sum,
-    convex_hull_iru,
-    convex_hull_sample,
     hausdorff_distance,
     random_iru_pair,
     random_iru_set,
     set_from_json,
     set_to_json,
-    transpose_set,
 )
 
 __version__ = "0.1.0"
@@ -90,10 +91,7 @@ __all__ = [
     "check_saddle_hull_samples",
     "collatz_wielandt_lower",
     "collatz_wielandt_upper",
-    "convex_hull_iru",
-    "convex_hull_sample",
     "hausdorff_distance",
-    "mat_mul",
     "minimax_table",
     "random_iru_pair",
     "random_iru_set",
@@ -101,5 +99,4 @@ __all__ = [
     "set_to_json",
     "solve_saddle",
     "spectral_radius",
-    "transpose_set",
 ]

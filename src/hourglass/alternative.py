@@ -33,13 +33,13 @@ class BranchReport:
 
     ``all_on_side`` is True when every member image lies weakly on the
     branch's side of the probe image (above for h1, below for h2).
-    Otherwise ``witness`` is a member whose image lies weakly on the
-    opposite side and differs from the probe image, or None when no such
-    member exists.
+    Otherwise ``witness`` is a read-only copy of a member whose image lies
+    weakly on the opposite side and differs from the probe image, or None
+    when no such member exists.
     """
 
     all_on_side: bool
-    witness: Matrix | None
+    witness: np.ndarray | None
 
     @property
     def satisfied(self) -> bool:
@@ -48,9 +48,11 @@ class BranchReport:
 
 @dataclass(frozen=True, eq=False)
 class HourglassReport:
-    """Outcome of the alternative at one (probe matrix, probe vector) pair."""
+    """Outcome of the alternative at one (probe matrix, probe vector) pair;
+    ``probe_matrix`` is a read-only copy of the probed member.
+    """
 
-    probe_matrix: Matrix
+    probe_matrix: np.ndarray
     probe_vector: np.ndarray
     h1: BranchReport
     h2: BranchReport
@@ -86,12 +88,12 @@ def _evaluate(
     lower, upper = below & differs, above & differs
     holds = (all_above | lower.any(axis=1)) & (all_below | upper.any(axis=1))
 
-    def witness(mask: np.ndarray) -> Matrix | None:
-        return Matrix(members[mask.argmax()]) if mask.any() else None
+    def witness(mask: np.ndarray) -> np.ndarray | None:
+        return readonly(members[mask.argmax()].copy()) if mask.any() else None
 
     def report(p: int) -> HourglassReport:
         return HourglassReport(
-            probe_matrix=Matrix(members[t]),
+            probe_matrix=readonly(members[t].copy()),
             probe_vector=readonly(np.array(us[p])),
             h1=BranchReport(bool(all_above[p]), witness(lower[p])),
             h2=BranchReport(bool(all_below[p]), witness(upper[p])),

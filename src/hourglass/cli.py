@@ -90,12 +90,12 @@ def _hourglass_report_json(report: HourglassReport) -> dict:
     def branch(b):
         return {
             "all_on_side": b.all_on_side,
-            "witness": b.witness.to_json() if b.witness is not None else None,
+            "witness": matrix_json(b.witness) if b.witness is not None else None,
             "satisfied": b.satisfied,
         }
 
     return {
-        "probe_matrix": report.probe_matrix.to_json(),
+        "probe_matrix": matrix_json(report.probe_matrix),
         "probe_vector": report.probe_vector.tolist(),
         "h1": branch(report.h1),
         "h2": branch(report.h2),
@@ -141,8 +141,8 @@ def _cmd_saddle(args: argparse.Namespace) -> tuple[int, dict]:
     b_set = _load_set(args.b_set)
     result = solve_saddle(a_set, b_set, cap=args.cap, tol=args.tol)
     report = {
-        "a_tilde": result.a_tilde.to_json(),
-        "b_tilde": result.b_tilde.to_json(),
+        "a_tilde": matrix_json(result.a_tilde),
+        "b_tilde": matrix_json(result.b_tilde),
         "value": result.value,
         "minmax": result.minmax,
         "maxmin": result.maxmin,

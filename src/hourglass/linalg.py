@@ -1,4 +1,5 @@
-"""Dense non-negative matrices: products, spectral radius via shifted power
+"""Dense non-negative matrices: ``Matrix``, the validated type of input
+matrices and their JSON wire form, spectral radius via shifted power
 iteration, Perron vectors, and Collatz-Wielandt ratio bounds.
 
 All values are immutable after construction and safe to share across
@@ -49,15 +50,11 @@ def matrix_json(data: np.ndarray) -> dict:
 
 
 class Matrix:
-    """Immutable dense matrix with non-negative float64 entries.
-
-    Constructing with ``positive=True`` additionally requires every entry
-    to be strictly positive.
-    """
+    """Immutable dense matrix with non-negative float64 entries."""
 
     __slots__ = ("_data",)
 
-    def __init__(self, data, *, positive: bool = False):
+    def __init__(self, data):
         arr = np.array(data, dtype=np.float64)
         if arr.ndim != 2:
             raise ShapeError(
@@ -70,10 +67,7 @@ class Matrix:
             )
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
-        if positive:
-            if not (arr > 0).all():
-                raise ValueError("matrix declared positive has an entry <= 0")
-        elif (arr < 0).any():
+        if (arr < 0).any():
             raise ValueError("matrix entries must be non-negative")
         self._data = readonly(arr)
 
@@ -94,18 +88,6 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self._data.shape
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self._data.T)
-
-    def close_to(self, other: "Matrix", tol: float = 1e-12) -> bool:
-        """Entrywise agreement within an absolute tolerance."""
-        if self.shape != other.shape:
-            return False
-        return bool(np.abs(self._data - other._data).max() <= tol)
-
-    def __matmul__(self, other: "Matrix") -> "Matrix":
-        return mat_mul(self, other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -113,14 +95,10 @@ class Matrix:
             np.array_equal(self._data, other._data)
         )
 
-    __hash__ = None  # mutable-looking payload; use close_to/dedup helpers instead
+    __hash__ = None  # equal by value on float entries, so not a dict key
 
     def __repr__(self) -> str:
         return f"Matrix({self._data.tolist()})"
-
-    def to_json(self) -> dict:
-        """Wire form ``{"rows": N, "cols": M, "data": [[...], ...]}``."""
-        return matrix_json(self._data)
 
     @classmethod
     def from_json(cls, obj, location: str = "$") -> "Matrix":
@@ -165,16 +143,6 @@ def as_vector(u, n: int, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} entries must be finite")
     return arr
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; inner dimensions must agree."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}: "
-            f"inner dimensions {a.cols} and {b.rows} differ"
-        )
-    return Matrix(a.data @ b.data)
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,15 +53,16 @@ _HULL_TERMS = 4
 class SaddleResult:
     """Candidate saddle pair with its min-max data.
 
-    ``value`` is rho(a_tilde b_tilde); ``w`` is b_tilde applied to the
-    dominant eigenvector of the product.  From the exhaustive table,
-    ``gap = minmax - maxmin`` is non-negative and zero exactly when the
-    table has a saddle; a pair settled by row-wise answers is a certified
-    saddle, so minmax = maxmin = value and gap = 0.0.
+    ``a_tilde`` and ``b_tilde`` are read-only float64 copies of members of
+    the two sets.  ``value`` is rho(a_tilde b_tilde); ``w`` is b_tilde
+    applied to the dominant eigenvector of the product.  From the
+    exhaustive table, ``gap = minmax - maxmin`` is non-negative and zero
+    exactly when the table has a saddle; a pair settled by row-wise answers
+    is a certified saddle, so minmax = maxmin = value and gap = 0.0.
     """
 
-    a_tilde: Matrix
-    b_tilde: Matrix
+    a_tilde: np.ndarray
+    b_tilde: np.ndarray
     value: float
     perron: PerronData
     w: np.ndarray
@@ -208,32 +209,33 @@ def _respond(fixed: np.ndarray, mset: MatrixSet, cap: int, minimize: bool, last)
 
 def _best_response(
     fixed: Matrix, mset: MatrixSet, cap: int, minimize: bool
-) -> tuple[Matrix, float]:
+) -> tuple[np.ndarray, float]:
     shapes = (mset.shape, fixed.shape)
     _check_pairing(*(shapes if minimize else shapes[::-1]))
     if isinstance(mset, IRUSet):
         found = _respond(fixed.data, mset, cap, minimize, _first(mset))
         if found is not None and found[2].vector.min() > _POSITIVE_VECTOR_TOL:
-            return Matrix(found[1]), found[2].rho
+            return readonly(found[1].copy()), found[2].rho
     members = mset.stack(cap)
     best, out = _scan(fixed.data, members, minimize)
-    return Matrix(members[best]), float(out[0][best])
+    return readonly(members[best].copy()), float(out[0][best])
 
 
 def best_response_min(
     b: Matrix, a_set: MatrixSet, cap: int = DEFAULT_CAP
-) -> tuple[Matrix, float]:
-    """Member of a_set minimizing rho(A b): on an IRU set by greedy row
-    selection when it settles with a strictly positive Perron vector, which
-    makes it exact (ties to the earliest row of each row set), otherwise by
-    a scan within ``cap`` (ties to the earliest index).
+) -> tuple[np.ndarray, float]:
+    """Member of a_set minimizing rho(A b), as a read-only copy, and the
+    radius: on an IRU set by greedy row selection when it settles with a
+    strictly positive Perron vector, which makes it exact (ties to the
+    earliest row of each row set), otherwise by a scan within ``cap`` (ties
+    to the earliest index).
     """
     return _best_response(b, a_set, cap, minimize=True)
 
 
 def best_response_max(
     a: Matrix, b_set: MatrixSet, cap: int = DEFAULT_CAP
-) -> tuple[Matrix, float]:
+) -> tuple[np.ndarray, float]:
     """Member of b_set maximizing rho(a B); answered as in :func:`best_response_min`."""
     return _best_response(a, b_set, cap, minimize=False)
 
@@ -241,14 +243,16 @@ def best_response_max(
 def _saddle_result(
     a: np.ndarray, b: np.ndarray, perron: PerronData, minmax: float, maxmin: float
 ) -> SaddleResult:
-    """The pair (a, b) with the Perron data of a b, w = b v and gap = minmax - maxmin."""
-    b_tilde = Matrix(b)
+    """Copies of the pair (a, b) with the Perron data of a b, w = b v and
+    gap = minmax - maxmin.
+    """
+    b_tilde = readonly(b.copy())
     return SaddleResult(
-        a_tilde=Matrix(a),
+        a_tilde=readonly(a.copy()),
         b_tilde=b_tilde,
         value=perron.rho,
         perron=perron,
-        w=readonly(b_tilde.data @ perron.vector),
+        w=readonly(b_tilde @ perron.vector),
         minmax=minmax,
         maxmin=maxmin,
         gap=minmax - maxmin,
@@ -396,6 +400,6 @@ def check_saddle_hull_samples(
     rng = np.random.default_rng(seed)
     b_samples = draw_hull_samples(b_set, n, rng, cap)
     a_samples = draw_hull_samples(a_set, n, rng, cap)
-    rho_b = power_many(result.a_tilde.data @ b_samples)[0]
-    rho_a = power_many(a_samples @ result.b_tilde.data)[0]
+    rho_b = power_many(result.a_tilde @ b_samples)[0]
+    rho_a = power_many(a_samples @ result.b_tilde)[0]
     return bool((rho_b <= result.value + tol).all() and (rho_a >= result.value - tol).all())

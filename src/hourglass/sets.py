@@ -1,6 +1,6 @@
 """Compact matrix sets and their algebra: finite lists, linearly ordered
 chains, independent row uncertainty (IRU) sets, the Minkowski nodes
-``Sum``, ``Product`` and ``Scale``, convex-hull helpers, and the Hausdorff
+``Sum``, ``Product`` and ``Scale``, convex-hull points, and the Hausdorff
 metric.
 
 Every set, a Minkowski node included, is a :class:`MatrixSet`, so nodes
@@ -21,7 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import CapExceededError, ParseError, ShapeError
-from .linalg import Matrix, expect_number, readonly
+from .linalg import Matrix, expect_number, matrix_json, readonly
 
 #: Default bound on the number of matrices any enumeration may materialize.
 DEFAULT_CAP = 10 ** 6
@@ -161,13 +161,6 @@ class FiniteSet(MatrixSet):
                     f"{elems[0].rows}x{elems[0].cols} and {m.rows}x{m.cols}"
                 )
         self._stack = readonly(np.stack([m.data for m in elems]))
-
-    @classmethod
-    def _of_stack(cls, stack: np.ndarray) -> "FiniteSet":
-        """Wrap an already validated read-only stack without copying it."""
-        mset = cls.__new__(cls)
-        mset._stack = stack
-        return mset
 
     @property
     def elements(self) -> tuple[Matrix, ...]:
@@ -413,11 +406,6 @@ class Scale(_ExprNode):
 _HAUSDORFF_BLOCK_BYTES = 1 << 24
 
 
-def transpose_set(a: MatrixSet, cap: int = DEFAULT_CAP) -> FiniteSet:
-    """Finite set of the transposes of every member, order preserved."""
-    return FiniteSet._of_stack(a.stack(cap).transpose(0, 2, 1))
-
-
 def hausdorff_distance(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> float:
     """Hausdorff distance under the entrywise max norm.
 
@@ -459,85 +447,6 @@ def hull_points(
     return np.einsum("sk,skij->sij", weights, mset.take(picks, cap))
 
 
-def convex_hull_sample(
-    mset: MatrixSet, r: int, rng_seed: int, cap: int = DEFAULT_CAP
-) -> Matrix:
-    """Random convex combination of ``r`` members drawn with replacement.
-
-    The result lies in the convex hull of the set.  Members are drawn
-    uniformly and weighted by normalized exponentials (uniform on the
-    simplex); fixed seeds reproduce the draw exactly, and an IRU set is
-    sampled through :func:`hull_points` without being enumerated.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    rng = np.random.default_rng(rng_seed)
-    picks = rng.integers(0, mset.count(cap), size=(1, r))
-    weights = rng.exponential(1.0, size=(1, r))
-    weights /= weights.sum()
-    return Matrix(hull_points(mset, picks, weights, cap)[0])
-
-
-def _extreme_rows_1d(rows: np.ndarray) -> np.ndarray:
-    values = rows[:, 0]
-    keep = sorted({int(values.argmin()), int(values.argmax())})
-    return rows[keep]
-
-
-def _extreme_rows_2d(rows: np.ndarray) -> np.ndarray:
-    pts = rows[_dedup_indices(rows)]
-    if len(pts) <= 2:
-        extremes = pts
-    else:
-        # Monotone chain with strict turns only, so collinear interior
-        # points are dropped and exactly the hull vertices remain.
-        eps = DEDUP_TOL * max(1.0, float(np.abs(pts).max())) ** 2
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
-        chain_pts = pts[order]
-
-        def half_hull(seq):
-            out: list[np.ndarray] = []
-            for p in seq:
-                while len(out) >= 2:
-                    cross = (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (
-                        out[-1][1] - out[-2][1]
-                    ) * (p[0] - out[-2][0])
-                    if cross <= eps:
-                        out.pop()
-                    else:
-                        break
-                out.append(p)
-            return out
-
-        lower = half_hull(chain_pts)
-        upper = half_hull(chain_pts[::-1])
-        extremes = np.asarray(lower[:-1] + upper[:-1])
-    keep = [
-        i
-        for i in range(len(rows))
-        if (np.abs(extremes - rows[i]).max(axis=1) <= DEDUP_TOL).any()
-    ]
-    if not keep:
-        return rows[:1]
-    kept_rows = rows[keep]
-    return kept_rows[_dedup_indices(kept_rows)]
-
-
-def convex_hull_iru(mset: IRUSet) -> IRUSet:
-    """IRU set spanning the convex hull, row set by row set.
-
-    For row dimension <= 2 each row set is reduced exactly to its extreme
-    points; in higher dimension the row sets are returned unchanged, which
-    still spans the same hull (just not minimally).
-    """
-    if not isinstance(mset, IRUSet):
-        raise TypeError("convex_hull_iru expects an IRU set")
-    if mset.shape[1] > 2:
-        return mset
-    reducer = _extreme_rows_1d if mset.shape[1] == 1 else _extreme_rows_2d
-    return IRUSet([reducer(rs) for rs in mset.row_sets])
-
-
 def random_iru_set(
     rng: np.random.Generator,
     rows: int,
@@ -565,7 +474,7 @@ def set_to_json(mset: MatrixSet) -> dict:
     if isinstance(mset, FiniteSet):
         return {
             "kind": mset.kind,
-            "matrices": [m.to_json() for m in mset.elements],
+            "matrices": [matrix_json(a) for a in mset._stack],
         }
     if isinstance(mset, IRUSet):
         return {

@@ -38,9 +38,9 @@ def test_chain_middle_probe_yields_end_witnesses(chain):
     report = check_hourglass_at(chain, a2, [0.3, 1.7])
     assert report.holds
     assert not report.h1.all_on_side
-    assert report.h1.witness == a1
+    assert np.array_equal(report.h1.witness, a1.data)
     assert not report.h2.all_on_side
-    assert report.h2.witness == a3
+    assert np.array_equal(report.h2.witness, a3.data)
 
 
 def test_chain_bottom_probe_covers_upper_cone(chain):
@@ -48,7 +48,7 @@ def test_chain_bottom_probe_covers_upper_cone(chain):
     assert report.holds
     assert report.h1.all_on_side
     # earliest qualifying member wins the witness slot
-    assert report.h2.witness == chain.elements[1]
+    assert np.array_equal(report.h2.witness, chain.elements[1].data)
 
 
 def test_small_positive_iru_holds_everywhere():
@@ -91,9 +91,9 @@ def test_report_scaling_invariance(rng):
         assert base.h2.all_on_side == scaled.h2.all_on_side
         assert (base.h1.witness is None) == (scaled.h1.witness is None)
         if base.h1.witness is not None:
-            assert base.h1.witness == scaled.h1.witness
+            assert np.array_equal(base.h1.witness, scaled.h1.witness)
         if base.h2.witness is not None:
-            assert base.h2.witness == scaled.h2.witness
+            assert np.array_equal(base.h2.witness, scaled.h2.witness)
 
 
 def test_sampled_check_passes_on_random_positive_iru(rng):
@@ -203,12 +203,12 @@ def test_reported_witnesses_satisfy_their_inequalities(rng):
         rep = check_hourglass_at(iru, probe, u)
         probe_image = probe.data @ u
         if rep.h1.witness is not None:
-            image = rep.h1.witness.data @ u
+            image = rep.h1.witness @ u
             assert (image <= probe_image + COMPARISON_TOL).all()
             assert np.abs(image - probe_image).max() > COMPARISON_TOL
             checked += 1
         if rep.h2.witness is not None:
-            image = rep.h2.witness.data @ u
+            image = rep.h2.witness @ u
             assert (image >= probe_image - COMPARISON_TOL).all()
             assert np.abs(image - probe_image).max() > COMPARISON_TOL
             checked += 1
@@ -218,11 +218,14 @@ def test_reported_witnesses_satisfy_their_inequalities(rng):
 def _assert_same_reports(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
-        assert g.probe_matrix == e.probe_matrix
+        assert np.array_equal(g.probe_matrix, e.probe_matrix)
         assert np.array_equal(g.probe_vector, e.probe_vector)
         for branch_g, branch_e in ((g.h1, e.h1), (g.h2, e.h2)):
             assert branch_g.all_on_side == branch_e.all_on_side
-            assert branch_g.witness == branch_e.witness
+            if branch_e.witness is None:
+                assert branch_g.witness is None
+            else:
+                assert np.array_equal(branch_g.witness, branch_e.witness)
 
 
 def test_sampled_check_is_deterministic(rng):

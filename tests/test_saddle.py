@@ -17,14 +17,12 @@ from hourglass import (
     best_response_max,
     best_response_min,
     certify_saddle,
+    check_hset_sampled,
     check_saddle_hull_samples,
-    convex_hull_sample,
-    mat_mul,
     minimax_table,
     random_iru_set,
     solve_saddle,
     spectral_radius,
-    transpose_set,
 )
 from hourglass.saddle import draw_hull_samples
 
@@ -56,8 +54,8 @@ def count_calls(monkeypatch, name):
 
 
 def assert_same_result(result, oracle):
-    assert result.a_tilde == oracle.a_tilde
-    assert result.b_tilde == oracle.b_tilde
+    assert np.array_equal(result.a_tilde, oracle.a_tilde)
+    assert np.array_equal(result.b_tilde, oracle.b_tilde)
     for key in ("value", "minmax", "maxmin", "gap"):
         assert getattr(result, key) == getattr(oracle, key)
     assert np.array_equal(result.w, oracle.w)
@@ -71,19 +69,19 @@ def assert_same_result(result, oracle):
 def test_best_response_min_singleton():
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
     chosen, rho = best_response_min(diag(1.0, 1.0), FiniteSet([a]))
-    assert chosen == a
+    assert np.array_equal(chosen, a.data)
     assert rho == spectral_radius(a).rho
 
 
 def test_best_response_min_example4(ex4):
     chosen, rho = best_response_min(diag(1.0, 0.0), ex4)
-    assert chosen == diag(0.0, 1.0)
+    assert np.array_equal(chosen, diag(0.0, 1.0).data)
     assert rho == 0.0
 
 
 def test_best_response_max_example4(ex4):
     chosen, rho = best_response_max(diag(1.0, 0.0), ex4)
-    assert chosen == diag(1.0, 0.0)
+    assert np.array_equal(chosen, diag(1.0, 0.0).data)
     assert rho == 1.0
 
 
@@ -91,17 +89,17 @@ def test_best_responses_agree_with_manual_scan(rng):
     b = Matrix(rng.uniform(0.1, 1.0, size=(3, 2)))
     mats = [Matrix(rng.uniform(0.1, 1.0, size=(2, 3))) for _ in range(5)]
     mset = FiniteSet(mats)
-    rhos = [spectral_radius(mat_mul(m, b)).rho for m in mats]
+    rhos = [spectral_radius(Matrix(m.data @ b.data)).rho for m in mats]
     chosen, rho = best_response_min(b, mset)
     assert rho == min(rhos)
-    assert chosen == mats[int(np.argmin(rhos))]
+    assert np.array_equal(chosen, mats[int(np.argmin(rhos))].data)
 
     a = Matrix(rng.uniform(0.1, 1.0, size=(2, 3)))
     bset = FiniteSet([Matrix(rng.uniform(0.1, 1.0, size=(3, 2))) for _ in range(5)])
-    rhos = [spectral_radius(mat_mul(a, m)).rho for m in bset.elements]
+    rhos = [spectral_radius(Matrix(a.data @ m.data)).rho for m in bset.elements]
     chosen, rho = best_response_max(a, bset)
     assert rho == max(rhos)
-    assert chosen == bset.elements[int(np.argmax(rhos))]
+    assert np.array_equal(chosen, bset.elements[int(np.argmax(rhos))].data)
 
 
 def test_best_response_shape_checks(ex4):
@@ -119,7 +117,7 @@ def test_best_response_rows_requires_iru_and_pairing(ex4, monkeypatch):
 
     monkeypatch.setattr(hourglass.saddle, "_greedy_rows", refuse)
     chosen, rho = best_response_min(diag(1.0, 0.0), ex4)
-    assert chosen == diag(0.0, 1.0)
+    assert np.array_equal(chosen, diag(0.0, 1.0).data)
     assert rho == 0.0
     iru = IRUSet([[[1.0, 2.0]]] * 2)
     with pytest.raises(ShapeError):
@@ -151,7 +149,7 @@ def test_best_response_rows_match_enumeration(rng, monkeypatch):
     monkeypatch.setattr(IRUSet, "stack", refuse)
     for fixed, iru, respond, (expected, rho_expected) in cases:
         chosen, rho = respond(fixed, iru)
-        assert chosen == expected
+        assert np.array_equal(chosen, expected)
         assert abs(rho - rho_expected) <= 1e-12 * max(1.0, rho_expected)
 
 
@@ -159,8 +157,8 @@ def test_best_response_rows_singleton_rows():
     iru = IRUSet([[[1.0, 2.0]], [[3.0, 4.0]]])
     for respond in (best_response_min, best_response_max):
         chosen, rho = respond(diag(1.0, 1.0), iru)
-        assert chosen == Matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert rho == spectral_radius(chosen).rho
+        assert np.array_equal(chosen, [[1.0, 2.0], [3.0, 4.0]])
+        assert rho == spectral_radius(Matrix(chosen)).rho
 
 
 def test_best_response_min_on_zero_rows_matches_an_eigvals_oracle():
@@ -175,7 +173,7 @@ def test_best_response_min_on_zero_rows_matches_an_eigvals_oracle():
     b = Matrix([[0.1584, 0.0], [0.0, 0.7723], [0.0801, 0.0]])
     radii = [np.abs(np.linalg.eigvals(m @ b.data)).max() for m in a.stack()]
     chosen, rho = best_response_min(b, a)
-    assert chosen == Matrix(a.stack()[int(np.argmin(radii))])
+    assert np.array_equal(chosen, a.stack()[int(np.argmin(radii))])
     assert abs(rho - min(radii)) <= 1e-9
     assert round(rho, 6) == 0.176713
 
@@ -185,7 +183,7 @@ def test_best_response_falls_back_to_a_scan_on_degenerate_iru_sets(monkeypatch):
     # row selection is not known to be exact: the members are then scanned
     a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
     b = Matrix([[0.4, 0.4], [0.9, 0.1]])
-    expected = best_response_min(b, FiniteSet(a.members()))
+    expected, rho_expected = best_response_min(b, FiniteSet(a.members()))
     scans = []
 
     def counted(self, cap, _stack=IRUSet.stack):
@@ -193,7 +191,8 @@ def test_best_response_falls_back_to_a_scan_on_degenerate_iru_sets(monkeypatch):
         return _stack(self, cap)
 
     monkeypatch.setattr(IRUSet, "stack", counted)
-    assert best_response_min(b, a) == expected
+    chosen, rho = best_response_min(b, a)
+    assert np.array_equal(chosen, expected) and rho == rho_expected
     assert len(scans) == 1
 
 
@@ -243,8 +242,8 @@ def test_solve_saddle_singletons():
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
     b = diag(1.0, 1.0)
     result = solve_saddle(FiniteSet([a]), FiniteSet([b]))
-    assert result.a_tilde == a
-    assert result.b_tilde == b
+    assert np.array_equal(result.a_tilde, a.data)
+    assert np.array_equal(result.b_tilde, b.data)
     assert result.gap == 0.0
     assert result.value == spectral_radius(a).rho
 
@@ -255,8 +254,8 @@ def test_solve_saddle_example4_gap(ex4):
     assert result.maxmin == 0.0
     assert result.gap == 1.0
     # ties break to the earliest enumeration index
-    assert result.b_tilde == ex4.elements[0]
-    assert result.a_tilde == ex4.elements[1]
+    assert np.array_equal(result.b_tilde, ex4.elements[0].data)
+    assert np.array_equal(result.a_tilde, ex4.elements[1].data)
 
 
 def test_solve_saddle_random_iru_pair_has_no_gap(rng):
@@ -265,8 +264,8 @@ def test_solve_saddle_random_iru_pair_has_no_gap(rng):
         result = solve_saddle(a, b)
         assert abs(result.gap) <= 1e-9
         assert result.maxmin - 1e-9 <= result.value <= result.minmax + 1e-9
-        assert abs(result.value - spectral_radius(mat_mul(result.a_tilde, result.b_tilde)).rho) <= 1e-9
-        assert np.allclose(result.w, result.b_tilde.data @ result.perron.vector)
+        assert abs(result.value - spectral_radius(Matrix(result.a_tilde @ result.b_tilde)).rho) <= 1e-9
+        assert np.allclose(result.w, result.b_tilde @ result.perron.vector)
 
 
 def test_solve_saddle_takes_its_pair_from_the_table(rng, monkeypatch):
@@ -299,7 +298,7 @@ def test_solve_saddle_takes_its_pair_from_the_table(rng, monkeypatch):
         result = solve_saddle(a, b)
         assert len(calls) == 1
         assert result.value == result.maxmin
-        oracle = spectral_radius(mat_mul(result.a_tilde, result.b_tilde))
+        oracle = spectral_radius(Matrix(result.a_tilde @ result.b_tilde))
         assert result.perron.rho == oracle.rho
         assert np.array_equal(result.perron.vector, oracle.vector)
         assert result.perron.iterations == oracle.iterations
@@ -325,7 +324,8 @@ def test_solve_saddle_transposed_pair_same_value(rng):
     for _ in range(5):
         a, b = random_pair(rng)
         forward = solve_saddle(a, b)
-        transposed = solve_saddle(transpose_set(a), transpose_set(b))
+        a_t, b_t = (FiniteSet([Matrix(x.T) for x in s.stack()]) for s in (a, b))
+        transposed = solve_saddle(a_t, b_t)
         assert abs(forward.value - transposed.value) <= 1e-9
 
 
@@ -333,11 +333,10 @@ def test_solve_saddle_value_stable_under_hull_supersets(rng):
     for trial in range(5):
         a, b = random_pair(rng, max_rows=2)
         base = solve_saddle(a, b)
-        a_aug = FiniteSet(
-            a.members() + [convex_hull_sample(a, 3, rng_seed=trial * 2)]
-        )
-        b_aug = FiniteSet(
-            b.members() + [convex_hull_sample(b, 3, rng_seed=trial * 2 + 1)]
+        gen = np.random.default_rng(trial)
+        a_aug, b_aug = (
+            FiniteSet(s.members() + [Matrix(draw_hull_samples(s, 1, gen)[0])])
+            for s in (a, b)
         )
         augmented = solve_saddle(a_aug, b_aug)
         assert abs(base.value - augmented.value) <= 1e-9
@@ -353,8 +352,8 @@ def test_solve_saddle_iru_matches_exhaustive_oracle(monkeypatch):
     tables = count_calls(monkeypatch, "product_table")
     for (a, b), oracle in zip(pairs, oracles):
         result = solve_saddle(a, b)
-        assert result.a_tilde == oracle.a_tilde
-        assert result.b_tilde == oracle.b_tilde
+        assert np.array_equal(result.a_tilde, oracle.a_tilde)
+        assert np.array_equal(result.b_tilde, oracle.b_tilde)
         for key in ("value", "minmax", "maxmin"):
             got, want = getattr(result, key), getattr(oracle, key)
             assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
@@ -417,12 +416,12 @@ def test_solve_saddle_mixed_pairs_match_exhaustive_oracle(monkeypatch):
             & (table.max(axis=1, keepdims=True) <= value + band)
             & (table.min(axis=0, keepdims=True) >= value - band)
         )
-        i = next(k for k, x in enumerate(stack_a) if np.array_equal(x, result.a_tilde.data))
-        j = next(k for k, x in enumerate(stack_b) if np.array_equal(x, result.b_tilde.data))
+        i = next(k for k, x in enumerate(stack_a) if np.array_equal(x, result.a_tilde))
+        j = next(k for k, x in enumerate(stack_b) if np.array_equal(x, result.b_tilde))
         assert saddle_cells[i, j]
         if saddle_cells.sum() == 1:
-            assert result.a_tilde == oracle.a_tilde
-            assert result.b_tilde == oracle.b_tilde
+            assert np.array_equal(result.a_tilde, oracle.a_tilde)
+            assert np.array_equal(result.b_tilde, oracle.b_tilde)
     assert 40 <= certified <= 170
 
 
@@ -463,7 +462,7 @@ def test_solve_saddle_iru_far_beyond_the_cap(monkeypatch):
         assert time.perf_counter() - start < 1.0
         assert result.gap == 0.0
         assert certify_saddle(result, a, other, cap=1).valid
-        oracle = spectral_radius(mat_mul(result.a_tilde, result.b_tilde))
+        oracle = spectral_radius(Matrix(result.a_tilde @ result.b_tilde))
         assert result.value == oracle.rho
 
 
@@ -489,6 +488,52 @@ def test_solve_saddle_iru_rejects_mispaired_shapes():
         solve_saddle(iru, IRUSet([[[1.0, 0.0, 0.0]]] * 3))
     with pytest.raises(ShapeError):
         solve_saddle(FiniteSet([Matrix(np.ones((3, 2)))]), iru)
+
+
+# --- results are copies of members --------------------------------------------------
+
+
+def test_results_are_read_only_copies_of_members(ex4, monkeypatch):
+    # Once the inputs exist no Matrix may be built: every pair, best
+    # response, probe and witness is a read-only float64 copy of a member,
+    # bit-equal to it and sharing no memory with the member stack.
+    a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.5, 0.5]]])
+    b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
+    fa, fb = finite(a), finite(b)
+    fixed = Matrix([[0.4, 0.4], [0.9, 0.1]])
+    with_zero = FiniteSet([*ex4.elements, Matrix(np.zeros((2, 2)))])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Matrix built")
+
+    monkeypatch.setattr(hourglass.linalg.Matrix, "__init__", refuse)
+    tables = count_calls(monkeypatch, "product_table")
+    checked = []
+
+    def check(arr, mset):
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert not arr.flags.writeable
+        stack = mset.stack()
+        assert any(arr.tobytes() == m.tobytes() for m in stack)
+        assert not np.shares_memory(arr, stack)
+        checked.append(1)
+
+    for pair in ((a, b), (fa, fb)):
+        result = solve_saddle(*pair)
+        check(result.a_tilde, pair[0])
+        check(result.b_tilde, pair[1])
+    assert len(tables) == 1  # the IRU pair settles by greedy rows
+    for mset in (a, fa):  # greedy rows, then a scan
+        check(best_response_min(fixed, mset)[0], mset)
+        check(best_response_max(fixed, mset)[0], mset)
+    for mset in (ex4, with_zero):
+        outcome = check_hset_sampled(mset, 5, rng_seed=1)
+        assert not outcome.passed
+        for report in outcome.failures:
+            for arr in (report.probe_matrix, report.h1.witness, report.h2.witness):
+                if arr is not None:
+                    check(arr, mset)
+    assert len(checked) > 30
 
 
 # --- certificates -------------------------------------------------------------------
@@ -528,10 +573,10 @@ def test_certificate_soundness_spot_check(rng):
     cert = certify_saddle(result, a, b)
     assert cert.valid
     for mat in a.members():
-        rho = spectral_radius(mat_mul(mat, result.b_tilde)).rho
+        rho = spectral_radius(Matrix(mat.data @ result.b_tilde)).rho
         assert rho >= result.value - 1e-9
     for mat in b.members():
-        rho = spectral_radius(mat_mul(result.a_tilde, mat)).rho
+        rho = spectral_radius(Matrix(result.a_tilde @ mat.data)).rho
         assert rho <= result.value + 1e-9
     assert check_saddle_hull_samples(result, a, b, 200, seed=77)
 
@@ -598,8 +643,8 @@ def test_hull_samples_never_enumerate_iru_sets(rng, monkeypatch):
 
     monkeypatch.setattr(IRUSet, "stack", refuse)
     assert check_saddle_hull_samples(result, a, b, 200, seed=4)
-    sample = convex_hull_sample(a, 3, rng_seed=9)
-    assert sample.shape == a.shape
+    samples = draw_hull_samples(a, 3, np.random.default_rng(9))
+    assert samples.shape == (3, *a.shape)
 
 
 def test_hull_samples_check_the_cap_before_drawing():
@@ -613,8 +658,6 @@ def test_hull_samples_check_the_cap_before_drawing():
     assert gen.bit_generator.state == state
     with pytest.raises(CapExceededError):
         check_saddle_hull_samples(result, a, b, 10, seed=3, cap=3)
-    with pytest.raises(CapExceededError):
-        convex_hull_sample(a, 2, rng_seed=3, cap=3)
     assert check_saddle_hull_samples(result, a, b, 10, seed=3, cap=4)
 
 

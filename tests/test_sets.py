@@ -20,16 +20,14 @@ from hourglass import (
     Scale,
     ShapeError,
     Sum,
-    convex_hull_iru,
-    convex_hull_sample,
     hausdorff_distance,
     random_iru_pair,
     random_iru_set,
     set_from_json,
     set_to_json,
-    transpose_set,
 )
 from hourglass import sets as sets_module
+from hourglass.saddle import draw_hull_samples
 from hourglass.sets import _DEDUP_PAIRWISE_LIMIT, _dedup_indices, hull_points
 
 from helpers import dedup_indices_reference, diag, random_finite_set, sets_equal
@@ -148,7 +146,7 @@ def test_minkowski_product_singletons():
     a = Matrix([[1.0, 2.0], [3.0, 4.0]])
     b = Matrix([[0.0, 1.0], [1.0, 1.0]])
     out = Product(FiniteSet([a]), FiniteSet([b]))
-    assert sets_equal(out, FiniteSet([a @ b]))
+    assert sets_equal(out, FiniteSet([Matrix(a.data @ b.data)]))
 
 
 def test_minkowski_product_inner_dimension_mismatch():
@@ -310,50 +308,24 @@ def test_hausdorff_metric_axioms(rng):
 # --- convex hulls ----------------------------------------------------------------
 
 
-def test_convex_hull_sample_r1_returns_a_member(ex4):
-    sample = convex_hull_sample(ex4, 1, rng_seed=3)
-    assert any(sample.close_to(m) for m in ex4.elements)
-
-
-def test_convex_hull_sample_singleton_any_r():
+def test_draw_hull_samples_of_a_singleton_are_the_member():
     single = FiniteSet([Matrix([[1.0, 2.0], [3.0, 4.0]])])
-    sample = convex_hull_sample(single, 5, rng_seed=11)
-    assert sample.close_to(single.elements[0])
+    samples = draw_hull_samples(single, 5, np.random.default_rng(11))
+    assert np.array_equal(samples, np.broadcast_to(single.stack(), (5, 2, 2)))
 
 
-def test_convex_hull_sample_is_deterministic(ex4):
-    assert convex_hull_sample(ex4, 3, rng_seed=7) == convex_hull_sample(ex4, 3, rng_seed=7)
+def test_draw_hull_samples_are_deterministic(ex4):
+    first, second = (draw_hull_samples(ex4, 8, np.random.default_rng(7)) for _ in range(2))
+    assert np.array_equal(first, second)
 
 
-def test_convex_hull_sample_stays_in_envelope(rng):
+def test_draw_hull_samples_stay_in_envelope(rng):
     s = random_finite_set(rng, 2, 3, 5)
-    arr = np.stack([m.data for m in s.elements])
-    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    lo, hi = s.stack().min(axis=0), s.stack().max(axis=0)
     for seed in range(10):
-        sample = convex_hull_sample(s, 4, rng_seed=seed)
-        assert (sample.data >= lo - 1e-12).all()
-        assert (sample.data <= hi + 1e-12).all()
-
-
-def test_convex_hull_sample_iru_gathers_the_members_of_its_stack(rng):
-    # Same seed, same point, whether the IRU set gathers members by row or
-    # its members are listed as a finite set; the reference is the per-seed
-    # draw indexed into the enumerated stack.
-    for trial in range(20):
-        n, m = (int(x) for x in rng.integers(1, 5, size=2))
-        iru = IRUSet([rng.uniform(0, 1, size=(int(rng.integers(1, 4)), m)) for _ in range(n)])
-        finite = FiniteSet(iru.members())
-        stack = iru.stack()
-        for r in range(1, 7):
-            seed = trial * 10 + r
-            draw = np.random.default_rng(seed)
-            picks = draw.integers(0, len(stack), size=r)
-            weights = draw.exponential(1.0, size=r)
-            weights /= weights.sum()
-            expected = np.einsum("k,kij->ij", weights, stack[picks])
-            sample = convex_hull_sample(iru, r, rng_seed=seed)
-            assert np.array_equal(sample.data, expected)
-            assert np.array_equal(convex_hull_sample(finite, r, rng_seed=seed).data, expected)
+        samples = draw_hull_samples(s, 4, np.random.default_rng(seed))
+        assert (samples >= lo - 1e-12).all()
+        assert (samples <= hi + 1e-12).all()
 
 
 def test_hull_points_follow_enumeration_order():
@@ -420,91 +392,7 @@ def test_iru_take_gathers_beyond_the_default_cap_without_enumerating(monkeypatch
         iru.take([0])
 
 
-def test_convex_hull_sample_midpoint_arithmetic(ex4):
-    # The weight vector (1/2, 1/2) applied to the two projections is the
-    # half-identity; the sampler must be able to realize exactly this
-    # combination, checked here by direct arithmetic.
-    d10, d01 = ex4.elements
-    combo = Matrix(0.5 * d10.data + 0.5 * d01.data)
-    assert combo == diag(0.5, 0.5)
-
-
-def test_convex_hull_iru_keeps_singletons():
-    iru = IRUSet([[[1.0, 2.0]], [[3.0, 4.0]]])
-    out = convex_hull_iru(iru)
-    assert [rs.tolist() for rs in out.row_sets] == [[[1.0, 2.0]], [[3.0, 4.0]]]
-
-
-def test_convex_hull_iru_drops_interior_point():
-    iru = IRUSet([[[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]], [[1.0, 1.0]]])
-    out = convex_hull_iru(iru)
-    assert out.row_sets[0].tolist() == [[1.0, 0.0], [0.0, 1.0]]
-
-
-def test_convex_hull_iru_keeps_extreme_rows():
-    iru = IRUSet([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]])
-    out = convex_hull_iru(iru)
-    assert [rs.tolist() for rs in out.row_sets] == [rs.tolist() for rs in iru.row_sets]
-
-
-def test_convex_hull_iru_one_column_keeps_min_and_max():
-    iru = IRUSet([[[1.0], [3.0], [2.0]]])
-    out = convex_hull_iru(iru)
-    assert out.row_sets[0].tolist() == [[1.0], [3.0]]
-
-
-def test_convex_hull_iru_wide_rows_unchanged():
-    iru = IRUSet([np.ones((3, 4))])
-    assert convex_hull_iru(iru) is iru
-
-
-def test_convex_hull_iru_rejects_other_kinds(ex4):
-    with pytest.raises(TypeError):
-        convex_hull_iru(ex4)
-
-
-def _in_hull_2d(point, vertices):
-    """Point-in-convex-polygon test via cross products around the centroid
-    ordering; independent of the package's geometry."""
-    verts = np.asarray(vertices)
-    if len(verts) == 1:
-        return np.abs(verts[0] - point).max() <= 1e-9
-    if len(verts) == 2:
-        a, b = verts
-        ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom == 0 else float(np.clip((point - a) @ ab / denom, 0, 1))
-        return np.abs(a + t * ab - point).max() <= 1e-9
-    center = verts.mean(axis=0)
-    order = np.argsort(np.arctan2(*(verts - center).T[::-1]))
-    verts = verts[order]
-    for i in range(len(verts)):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        cross = (b[0] - a[0]) * (point[1] - a[1]) - (b[1] - a[1]) * (point[0] - a[0])
-        if cross < -1e-9:
-            return False
-    return True
-
-
-def test_convex_hull_iru_rows_reconstructible(rng):
-    for _ in range(20):
-        k = int(rng.integers(1, 7))
-        rows = rng.uniform(0.0, 1.0, size=(k, 2))
-        iru = IRUSet([rows])
-        kept = convex_hull_iru(iru).row_sets[0]
-        for row in rows:
-            assert _in_hull_2d(row, kept)
-
-
-# --- transposition and JSON -------------------------------------------------------
-
-
-def test_transpose_set_preserves_order():
-    a = Matrix(np.arange(6, dtype=float).reshape(2, 3))
-    b = Matrix(np.ones((2, 3)))
-    out = transpose_set(FiniteSet([a, b]))
-    assert out.elements[0] == a.transpose()
-    assert out.elements[1] == b.transpose()
+# --- JSON wire format ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", ["finite", "ordered", "iru", "expr"])
