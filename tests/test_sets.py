@@ -328,6 +328,31 @@ def test_draw_hull_samples_stay_in_envelope(rng):
         assert (samples <= hi + 1e-12).all()
 
 
+def test_convex_hull_sample_iru_gathers_the_members_of_its_stack(rng):
+    # Same seed, same points, whether the IRU set gathers members by row or
+    # its members are listed as a finite set; the reference is the per-seed
+    # draw indexed into the enumerated stack, one point at a time.
+    for trial in range(20):
+        n, m = (int(x) for x in rng.integers(1, 5, size=2))
+        iru = IRUSet([rng.uniform(0, 1, size=(int(rng.integers(1, 4)), m)) for _ in range(n)])
+        finite = FiniteSet(iru.members())
+        stack = iru.stack()
+        for count in range(1, 7):
+            seed = trial * 10 + count
+            draw = np.random.default_rng(seed)
+            terms = draw.integers(1, min(4, len(stack)) + 1, size=count)
+            picks = draw.integers(0, len(stack), size=(count, 4))
+            weights = draw.exponential(1.0, size=(count, 4))
+            expected = []
+            for s in range(count):
+                w = weights[s, : terms[s]] / weights[s, : terms[s]].sum()
+                expected.append(np.einsum("k,kij->ij", w, stack[picks[s, : terms[s]]]))
+            samples = draw_hull_samples(iru, count, np.random.default_rng(seed))
+            assert np.array_equal(samples, np.stack(expected))
+            finite_samples = draw_hull_samples(finite, count, np.random.default_rng(seed))
+            assert np.array_equal(finite_samples, samples)
+
+
 def test_hull_points_follow_enumeration_order():
     iru = IRUSet([[[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]])
     picks = np.arange(6)[:, None]
