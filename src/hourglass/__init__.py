@@ -8,7 +8,9 @@ two-sided image alternative checks, a saddle solver (row-wise on IRU
 sets, exhaustive otherwise) with eigenvector certificates valid over
 convex hulls, and a JSON command-line interface.
 
-Every set hands out its members as one read-only float64 array.  Saddle
+Members are read-only float64 arrays from one of three accessors: every
+set's ``stack`` (all of them) and ``take`` (by enumeration index), and
+``IRUSet.gather`` (by one row pick per row set, never enumerating).  Saddle
 pairs, best responses, probe matrices and witnesses are read-only copies of
 members; ``Matrix`` is the validated type of matrices that callers and JSON
 files supply.

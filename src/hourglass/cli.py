@@ -25,6 +25,7 @@ import numpy as np
 from .alternative import HourglassReport, check_hset_sampled
 from .errors import CapExceededError, ParseError, ShapeError
 from .linalg import (
+    COMPARISON_TOL,
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     Matrix,
@@ -33,6 +34,7 @@ from .linalg import (
     spectral_radius,
 )
 from .saddle import (
+    CERTIFICATE_TOL,
     certify_saddle,
     check_saddle_hull_samples,
     product_table,
@@ -103,16 +105,20 @@ def _hourglass_report_json(report: HourglassReport) -> dict:
     }
 
 
+def _non_convergence(report: dict, message: str) -> tuple[int, dict]:
+    """``report`` with a non-convergence error, under its exit code."""
+    report["error"] = {"kind": "non-convergence", "message": message}
+    return EXIT_NUMERIC, report
+
+
 def _cmd_spectral(args: argparse.Namespace) -> tuple[int, dict]:
     matrix = Matrix.from_json(_load_json(args.matrix), location=args.matrix)
     perron = spectral_radius(matrix, tol=args.tol, max_iter=args.max_iter)
     report = _perron_json(perron)
     if not perron.converged:
-        report["error"] = {
-            "kind": "non-convergence",
-            "message": f"power iteration did not stabilize in {perron.iterations} steps",
-        }
-        return EXIT_NUMERIC, report
+        return _non_convergence(
+            report, f"power iteration did not stabilize in {perron.iterations} steps"
+        )
     return EXIT_OK, report
 
 
@@ -126,11 +132,9 @@ def _cmd_minimax(args: argparse.Namespace) -> tuple[int, dict]:
     if args.table:
         report["table"] = table.tolist()
     if not conv.all():
-        report["error"] = {
-            "kind": "non-convergence",
-            "message": f"{int((~conv).sum())} table entries did not stabilize",
-        }
-        return EXIT_NUMERIC, report
+        return _non_convergence(
+            report, f"{int((~conv).sum())} table entries did not stabilize"
+        )
     if args.require_equality and report["gap"] > args.tol:
         return EXIT_PROPERTY, report
     return EXIT_OK, report
@@ -159,11 +163,9 @@ def _cmd_saddle(args: argparse.Namespace) -> tuple[int, dict]:
             result, a_set, b_set, args.hull_samples, args.seed, tol=args.tol, cap=args.cap
         )
     if not result.perron.converged:
-        report["error"] = {
-            "kind": "non-convergence",
-            "message": "power iteration on the saddle product did not stabilize",
-        }
-        return EXIT_NUMERIC, report
+        return _non_convergence(
+            report, "power iteration on the saddle product did not stabilize"
+        )
     if args.require_equality and result.gap > args.tol:
         return EXIT_PROPERTY, report
     return EXIT_OK, report
@@ -323,7 +325,7 @@ def _parser() -> argparse.ArgumentParser:
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0)
     equality = argparse.ArgumentParser(add_help=False)
-    equality.add_argument("--tol", type=float, default=1e-9)
+    equality.add_argument("--tol", type=float, default=CERTIFICATE_TOL)
     equality.add_argument("--require-equality", action="store_true")
 
     parser = argparse.ArgumentParser(
@@ -335,7 +337,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     # Every command passes the --cap and --tol checks in main; a command's
     # own flags override these stand-ins.
-    parser.set_defaults(cap=None, tol=1e-9)
+    parser.set_defaults(cap=None, tol=CERTIFICATE_TOL)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary, parents):
@@ -361,7 +363,7 @@ def _parser() -> argparse.ArgumentParser:
                 [seeded, capped])
     p.add_argument("set", help="set JSON file")
     p.add_argument("--probes", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=COMPARISON_TOL)
 
     command("hausdorff", _cmd_hausdorff, "Hausdorff distance of two sets", [pair, capped])
 

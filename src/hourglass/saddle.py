@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CapExceededError, ShapeError
 from .linalg import Matrix, PerronData, power_many, readonly
-from .sets import DEFAULT_CAP, IRUSet, MatrixSet, hull_points
+from .sets import DEFAULT_CAP, IRUSet, MatrixSet
 
 #: Certificate residuals are accepted down to -CERTIFICATE_TOL.
 CERTIFICATE_TOL = 1e-9
@@ -153,33 +153,30 @@ def _row_images(row_sets: tuple[np.ndarray, ...], x: np.ndarray) -> list[np.ndar
     return [np.einsum("rj,j->r", rs, x) for rs in row_sets]
 
 
-def _assemble(row_sets: tuple[np.ndarray, ...], picks: tuple) -> np.ndarray:
-    return np.stack([rs[k] for rs, k in zip(row_sets, picks)])
-
-
 def _greedy_rows(
-    fixed: np.ndarray, row_sets: tuple[np.ndarray, ...], picks: tuple, minimize: bool
+    fixed: np.ndarray, mset: IRUSet, picks: tuple, minimize: bool
 ) -> tuple[tuple, np.ndarray, PerronData] | None:
     """Greedy row selection for rho(X fixed) (minimize) or rho(fixed X).
 
-    X takes row ``picks[i]`` of row set i.  With v the Perron vector of the
-    product, every row moves to the earliest row of its set minimizing
-    r . (fixed v), or maximizing r . v, until no pick changes.  The product
-    of the settled X with any member X' then satisfies the Collatz-Wielandt
-    inequality that orders their spectral radii, so for v > 0 the settled X
-    is an exact best response.  Returns (picks, X, Perron data of the
-    product), or None when the picks do not settle in IRU_MAX_ROUNDS passes
-    or a power iteration does not converge: its vector gives no valid step,
-    and each such iteration runs the kernel's full step budget.
+    X is the member of ``mset`` taking row ``picks[i]`` of row set i.  With
+    v the Perron vector of the product, every row moves to the earliest row
+    of its set minimizing r . (fixed v), or maximizing r . v, until no pick
+    changes.  The product of the settled X with any member X' then
+    satisfies the Collatz-Wielandt inequality that orders their spectral
+    radii, so for v > 0 the settled X is an exact best response.  Returns
+    (picks, X, Perron data of the product), or None when the picks do not
+    settle in IRU_MAX_ROUNDS passes or a power iteration does not converge:
+    its vector gives no valid step, and each such iteration runs the
+    kernel's full step budget.
     """
     for _ in range(IRU_MAX_ROUNDS):
-        x = _assemble(row_sets, picks)
+        x = mset.gather(picks)
         product = x @ fixed if minimize else fixed @ x
         perron = PerronData.of(power_many(product[None]), 0)
         if not perron.converged:
             return None
         target = fixed @ perron.vector if minimize else perron.vector
-        images = _row_images(row_sets, target)
+        images = _row_images(mset.row_sets, target)
         settled = tuple(int(r.argmin() if minimize else r.argmax()) for r in images)
         if settled == picks:
             return picks, x, perron
@@ -201,7 +198,7 @@ def _respond(fixed: np.ndarray, mset: MatrixSet, cap: int, minimize: bool, last)
     scanned radius did not converge and may misorder the scan.
     """
     if isinstance(mset, IRUSet):
-        return _greedy_rows(fixed, mset.row_sets, last, minimize)
+        return _greedy_rows(fixed, mset, last, minimize)
     members = mset.stack(cap)
     best, out = _scan(fixed, members, minimize)
     return (best, members[best], PerronData.of(out, best)) if out[3].all() else None
@@ -266,10 +263,7 @@ def _alternate(a_set: MatrixSet, b_set: MatrixSet, cap: int) -> SaddleResult | N
     IRU_MAX_ROUNDS rounds pass.
     """
     last_a, b_choices = _first(a_set), [_first(b_set)]
-    if isinstance(b_set, IRUSet):
-        b = _assemble(b_set.row_sets, b_choices[0])
-    else:
-        b = b_set.stack(cap)[0]
+    b = b_set.gather(b_choices[0]) if isinstance(b_set, IRUSet) else b_set.stack(cap)[0]
     for _ in range(IRU_MAX_ROUNDS):
         found = _respond(b, a_set, cap, True, last_a)
         if found is not None:
@@ -364,17 +358,23 @@ def draw_hull_samples(
 
     Point s combines r_s members, r_s uniform on 1..min(4, K), drawn
     uniformly with replacement and weighted uniformly on the simplex.  After
-    the cap check, ``rng`` gives r for every point, then four member indices
-    and four exponentials per point, of which the first r_s count.  An IRU
-    set is gathered by row (:func:`hull_points`), never enumerated.
+    the cap check, ``rng`` gives r for every point, then four terms per
+    point in one draw, then four exponentials per point, of which the first
+    r_s count.  A term is a member index, or for an IRU set one row index
+    per row set, each uniform on its row set; an IRU set's members then
+    come from :meth:`IRUSet.gather`, so it is never enumerated.
     """
     count = mset.count(cap)
     r = rng.integers(1, min(_HULL_TERMS, count) + 1, size=n)
-    picks = rng.integers(0, count, size=(n, _HULL_TERMS))
+    if isinstance(mset, IRUSet):
+        sizes = [len(rs) for rs in mset.row_sets]
+        members = mset.gather(rng.integers(0, sizes, size=(n, _HULL_TERMS, len(sizes))))
+    else:
+        members = mset.take(rng.integers(0, count, size=(n, _HULL_TERMS)), cap)
     weights = rng.exponential(1.0, size=(n, _HULL_TERMS))
     weights *= np.arange(_HULL_TERMS) < r[:, None]
     weights /= weights.sum(axis=1, keepdims=True)
-    return hull_points(mset, picks, weights, cap)
+    return np.einsum("sk,skij->sij", weights, members)
 
 
 def check_saddle_hull_samples(
@@ -400,6 +400,6 @@ def check_saddle_hull_samples(
     rng = np.random.default_rng(seed)
     b_samples = draw_hull_samples(b_set, n, rng, cap)
     a_samples = draw_hull_samples(a_set, n, rng, cap)
-    rho_b = power_many(result.a_tilde @ b_samples)[0]
-    rho_a = power_many(a_samples @ result.b_tilde)[0]
+    rho_b = _scan(result.a_tilde, b_samples, minimize=False)[1][0]
+    rho_a = _scan(result.b_tilde, a_samples, minimize=True)[1][0]
     return bool((rho_b <= result.value + tol).all() and (rho_a >= result.value - tol).all())

@@ -1,7 +1,6 @@
 """Compact matrix sets and their algebra: finite lists, linearly ordered
 chains, independent row uncertainty (IRU) sets, the Minkowski nodes
-``Sum``, ``Product`` and ``Scale``, convex-hull points, and the Hausdorff
-metric.
+``Sum``, ``Product`` and ``Scale``, and the Hausdorff metric.
 
 Every set, a Minkowski node included, is a :class:`MatrixSet`, so nodes
 take any sets as operands and nest into expression trees.  Set values are
@@ -44,29 +43,29 @@ def _key_weights(dim: int) -> np.ndarray:
     return readonly(1.0 + (np.arange(dim) * 0.6180339887498949) % 1.0)
 
 
-def _window_keys(rows: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _window_keys(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort keys of ``rows`` and the half-width of each row's key window.
 
     The key is a weighted sum of a row's entries, weights in [1, 2), after
     scaling down by a power of two that keeps the sums finite.  Rows within
-    ``tol`` have exact keys at most ``2·dim·tol`` apart, and a computed key
-    is off by at most ``dim·eps·sum|row|`` plus subnormal rounding; the
-    half-width doubles that bound for either row, so every near partner of
-    a row lies in its window.
+    ``DEDUP_TOL`` have exact keys at most ``2·dim·DEDUP_TOL`` apart, and a
+    computed key is off by at most ``dim·eps·sum|row|`` plus subnormal
+    rounding; the half-width doubles that bound for either row, so every
+    near partner of a row lies in its window.
     """
     dim = rows.shape[1]
     exp = max(math.frexp(float(np.abs(rows).max()))[1], 0)
     scaled = np.ldexp(rows, -exp)
     sums = np.abs(scaled).sum(axis=1)
-    half = (4 * dim * _EPS) * sums + 4 * dim * (math.ldexp(tol, -exp) + _TINY)
+    half = (4 * dim * _EPS) * sums + 4 * dim * (math.ldexp(DEDUP_TOL, -exp) + _TINY)
     return scaled @ _key_weights(dim), half
 
 
-def _dedup_indices(arr: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
-    """Indices of first occurrences, merging members within ``tol``.
+def _dedup_indices(arr: np.ndarray) -> np.ndarray:
+    """Indices of first occurrences, merging members within ``DEDUP_TOL``.
 
     In enumeration order, a member is dropped when its bytes repeat an
-    earlier member's, or when it lies within ``tol`` entrywise of an
+    earlier member's, or when it lies within ``DEDUP_TOL`` entrywise of an
     earlier kept member while at most ``_DEDUP_PAIRWISE_LIMIT`` members are
     kept before it.  Only members whose key window holds another member
     can be dropped, so the rule is replayed over those alone: exact
@@ -75,7 +74,7 @@ def _dedup_indices(arr: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
     plain loop's members × kept.
     """
     rows = arr.reshape(arr.shape[0], -1)
-    keys, half = _window_keys(rows, tol)
+    keys, half = _window_keys(rows)
     order = np.argsort(keys, kind="stable")
     starts = np.searchsorted(keys[order], keys - half, side="left")
     stops = np.searchsorted(keys[order], keys + half, side="right")
@@ -103,7 +102,7 @@ def _dedup_indices(arr: np.ndarray, tol: float = DEDUP_TOL) -> np.ndarray:
             continue
         later = order[start:stop]
         later = later[(later > i) & ~marked[later]]
-        marked[later[np.abs(rows[later] - rows[i]).max(axis=1) <= tol]] = True
+        marked[later[np.abs(rows[later] - rows[i]).max(axis=1) <= DEDUP_TOL]] = True
     return np.flatnonzero(keep)
 
 
@@ -124,17 +123,13 @@ class MatrixSet(abc.ABC):
         Raises :class:`CapExceededError` when K exceeds ``cap``.
         """
 
-    def members(self, cap: int = DEFAULT_CAP) -> list[Matrix]:
-        """All members in enumeration order."""
-        return [Matrix(a) for a in self.stack(cap)]
-
     def count(self, cap: int = DEFAULT_CAP) -> int:
         """Number of members K; raises :class:`CapExceededError` above ``cap``."""
         return len(self.stack(cap))
 
     def take(self, indices, cap: int = DEFAULT_CAP) -> np.ndarray:
-        """Members at enumeration ``indices``, shape indices.shape + (rows, cols)."""
-        return self.stack(cap)[indices]
+        """Read-only members at enumeration ``indices``, shape indices.shape + (rows, cols)."""
+        return readonly(self.stack(cap)[indices])
 
 
 def _check_cap(count: int, cap: int) -> None:
@@ -161,10 +156,6 @@ class FiniteSet(MatrixSet):
                     f"{elems[0].rows}x{elems[0].cols} and {m.rows}x{m.cols}"
                 )
         self._stack = readonly(np.stack([m.data for m in elems]))
-
-    @property
-    def elements(self) -> tuple[Matrix, ...]:
-        return tuple(Matrix(a) for a in self._stack)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -207,11 +198,12 @@ class IRUSet(MatrixSet):
 
     Members are all matrices assembled by picking row i from the finite
     row set ``row_sets[i]``, independently for every row.  The enumerated
-    cardinality is the product of the row-set sizes.
+    cardinality is the product of the row-set sizes.  Every member access
+    goes through :meth:`gather`, which builds members from row picks.
     """
 
     kind = "iru"
-    __slots__ = ("_row_sets",)
+    __slots__ = ("_row_sets", "_sizes", "_rows")
 
     def __init__(self, row_sets):
         sets = []
@@ -225,7 +217,7 @@ class IRUSet(MatrixSet):
                 raise ValueError(f"row set {i} has a non-finite entry")
             if (arr < 0).any():
                 raise ValueError(f"row set {i} has a negative entry")
-            sets.append(readonly(arr))
+            sets.append(arr)
         if not sets:
             raise ValueError("an IRU set needs at least one row set")
         width = sets[0].shape[1]
@@ -234,7 +226,10 @@ class IRUSet(MatrixSet):
                 raise ShapeError(
                     f"row set {i} has rows of length {arr.shape[1]}, expected {width}"
                 )
-        self._row_sets = tuple(sets)
+        # One array holds every row; the row sets are views into it.
+        self._sizes = readonly(np.array([len(rs) for rs in sets]))
+        self._rows = readonly(np.concatenate(sets))
+        self._row_sets = tuple(np.split(self._rows, np.cumsum(self._sizes)[:-1]))
 
     @property
     def row_sets(self) -> tuple[np.ndarray, ...]:
@@ -246,10 +241,7 @@ class IRUSet(MatrixSet):
 
     @property
     def cardinality(self) -> int:
-        card = 1
-        for rs in self._row_sets:
-            card *= rs.shape[0]
-        return card
+        return math.prod(self._sizes.tolist())
 
     def count(self, cap: int = DEFAULT_CAP) -> int:
         """The cardinality, checked against ``cap`` without enumerating."""
@@ -257,8 +249,23 @@ class IRUSet(MatrixSet):
         _check_cap(card, cap)
         return card
 
+    def gather(self, picks) -> np.ndarray:
+        """Read-only members taking row ``picks[..., i]`` of row set i.
+
+        The shape is picks.shape[:-1] + (rows, cols).  The set is never
+        enumerated, so no cap applies; a pick outside its row set raises
+        ``ValueError``.
+        """
+        picks = np.asarray(picks)
+        if picks.shape[-1:] != self._sizes.shape:
+            raise ValueError(f"picks must end in one row index per row set, {self.shape[0]}")
+        if ((picks < 0) | (picks >= self._sizes)).any():
+            raise ValueError("row pick out of range for its row set")
+        starts = np.cumsum(self._sizes) - self._sizes
+        return readonly(self._rows.take(picks + starts, axis=0))
+
     def take(self, indices, cap: int = DEFAULT_CAP) -> np.ndarray:
-        """Members gathered row by row, never enumerating the set.
+        """Members at enumeration ``indices``, gathered by row.
 
         Index k picks the rows given by its mixed-radix digits over the
         row-set sizes, last row fastest (enumeration order).
@@ -267,19 +274,18 @@ class IRUSet(MatrixSet):
         rest = np.asarray(indices)
         if ((rest < 0) | (rest >= count)).any():
             raise ValueError(f"member index out of range for {count} members")
-        rows = []
-        for rs in reversed(self._row_sets):
-            rest, pick = np.divmod(rest, len(rs))
-            rows.append(rs[pick])
-        return np.stack(rows[::-1], axis=-2)
+        digits = []
+        for size in self._sizes[::-1].tolist():
+            rest, digit = np.divmod(rest, size)
+            digits.append(digit)
+        return self.gather(np.stack(digits[::-1], axis=-1))
 
     def stack(self, cap: int = DEFAULT_CAP) -> np.ndarray:
-        return readonly(self.take(np.arange(self.count(cap)), cap))
+        return self.take(np.arange(self.count(cap)), cap)
 
     def __repr__(self) -> str:
-        sizes = tuple(rs.shape[0] for rs in self._row_sets)
         n, m = self.shape
-        return f"IRUSet(shape {n}x{m}, row-set sizes {sizes})"
+        return f"IRUSet(shape {n}x{m}, row-set sizes {tuple(self._sizes.tolist())})"
 
 
 def _node_result(arr: np.ndarray, dedup: bool) -> np.ndarray:
@@ -433,31 +439,12 @@ def hausdorff_distance(a: MatrixSet, b: MatrixSet, cap: int = DEFAULT_CAP) -> fl
     return float(max(row_min.max(), col_min.max()))
 
 
-def hull_points(
-    mset: MatrixSet, picks: np.ndarray, weights: np.ndarray, cap: int = DEFAULT_CAP
-) -> np.ndarray:
-    """Convex combinations of members chosen by enumeration index.
-
-    ``picks`` and ``weights`` have shape (S, R); point s is the sum over k
-    of ``weights[s, k]`` times member ``picks[s, k]`` in enumeration order,
-    so rows of weights summing to 1 give points of the convex hull, of
-    shape (S, rows, cols).  Members come from :meth:`MatrixSet.take`, so an
-    IRU set is never enumerated.
-    """
-    return np.einsum("sk,skij->sij", weights, mset.take(picks, cap))
-
-
 def random_iru_set(
-    rng: np.random.Generator,
-    rows: int,
-    cols: int,
-    max_rows_per_set: int = 3,
-    low: float = 0.05,
-    high: float = 1.0,
+    rng: np.random.Generator, rows: int, cols: int, max_rows_per_set: int = 3
 ) -> IRUSet:
-    """Random IRU set with positive uniform entries; used by sweeps."""
+    """Random IRU set with entries uniform on [0.05, 1); used by sweeps."""
     sizes = rng.integers(1, max_rows_per_set + 1, size=rows)
-    return IRUSet([rng.uniform(low, high, size=(int(k), cols)) for k in sizes])
+    return IRUSet([rng.uniform(0.05, 1.0, size=(int(k), cols)) for k in sizes])
 
 
 def random_iru_pair(rng: np.random.Generator) -> tuple[IRUSet, IRUSet]:

@@ -37,6 +37,36 @@ def ex4_set() -> FiniteSet:
     return FiniteSet(ex4_matrices())
 
 
+def listed(mset) -> list[Matrix]:
+    """A set's members as ``Matrix`` objects, in enumeration order."""
+    return [Matrix(a) for a in mset.stack()]
+
+
+def draw_reference(stack, n, rng, sizes=None):
+    """The hull draw written point by point over an enumerated stack.
+
+    The same three draws from ``rng`` as ``draw_hull_samples``: r_s for
+    every point, then four terms per point, then four exponentials per
+    point.  A term is a member index; given the row-set ``sizes`` of an IRU
+    set, it is one row index per row set instead, read as the mixed-radix
+    digits of an enumeration index, the last row set fastest.
+    """
+    r = rng.integers(1, min(4, len(stack)) + 1, size=n)
+    if sizes is None:
+        picks = rng.integers(0, len(stack), size=(n, 4))
+    else:
+        rows = rng.integers(0, sizes, size=(n, 4, len(sizes)))
+        picks = np.zeros((n, 4), dtype=int)
+        for i, size in enumerate(sizes):
+            picks = picks * size + rows[..., i]
+    weights = rng.exponential(1.0, size=(n, 4))
+    points = []
+    for s in range(n):
+        w = weights[s, : r[s]] / weights[s, : r[s]].sum()
+        points.append(np.einsum("k,kij->ij", w, stack[picks[s, : r[s]]]))
+    return np.stack(points)
+
+
 def sets_equal(a, b, tol: float = 1e-12) -> bool:
     """Equality as point sets: zero Hausdorff distance."""
     return a.shape == b.shape and hausdorff_distance(a, b) <= tol

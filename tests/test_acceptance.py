@@ -27,7 +27,7 @@ from hourglass import (
     spectral_radius,
 )
 
-from helpers import ex4_set, random_finite_set, rho_2x2_closed_form
+from helpers import ex4_set, listed, random_finite_set, rho_2x2_closed_form
 
 SWEEP_PAIRS = 100
 SWEEP_SEED = 20260810
@@ -108,7 +108,7 @@ def test_criterion_4_hourglass_alternative():
         # An IRU set passes by the row-swap argument; its enumeration still
         # runs the sampled check on every member.
         iru_ok &= check_hset_sampled(mset, n_probes=50, rng_seed=trial).passed
-        members = FiniteSet(mset.members())
+        members = FiniteSet(listed(mset))
         iru_ok &= check_hset_sampled(members, n_probes=50, rng_seed=trial).passed
 
     algebra_ok = True

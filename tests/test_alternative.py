@@ -16,7 +16,7 @@ from hourglass import (
     random_iru_set,
 )
 
-from helpers import ex4_set, random_finite_set
+from helpers import ex4_set, listed, random_finite_set
 
 
 @pytest.fixture
@@ -27,14 +27,14 @@ def chain():
 
 def test_singleton_holds_trivially():
     single = FiniteSet([Matrix([[1.0, 2.0], [3.0, 4.0]])])
-    report = check_hourglass_at(single, single.elements[0], [1.0, 1.0])
+    report = check_hourglass_at(single, listed(single)[0], [1.0, 1.0])
     assert report.holds
     assert report.h1.all_on_side and report.h2.all_on_side
     assert report.h1.witness is None and report.h2.witness is None
 
 
 def test_chain_middle_probe_yields_end_witnesses(chain):
-    a1, a2, a3 = chain.elements
+    a1, a2, a3 = listed(chain)
     report = check_hourglass_at(chain, a2, [0.3, 1.7])
     assert report.holds
     assert not report.h1.all_on_side
@@ -44,23 +44,23 @@ def test_chain_middle_probe_yields_end_witnesses(chain):
 
 
 def test_chain_bottom_probe_covers_upper_cone(chain):
-    report = check_hourglass_at(chain, chain.elements[0], [1.0, 1.0])
+    report = check_hourglass_at(chain, listed(chain)[0], [1.0, 1.0])
     assert report.holds
     assert report.h1.all_on_side
     # earliest qualifying member wins the witness slot
-    assert np.array_equal(report.h2.witness, chain.elements[1].data)
+    assert np.array_equal(report.h2.witness, chain.stack()[1])
 
 
 def test_small_positive_iru_holds_everywhere():
     iru = IRUSet([[[1.0, 2.0], [2.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]])
-    for probe in iru.members():
+    for probe in listed(iru):
         report = check_hourglass_at(iru, probe, [1.0, 1.0])
         assert report.holds
 
 
 def test_example4_probe_fails_without_witness():
     mset = ex4_set()
-    report = check_hourglass_at(mset, mset.elements[0], [1.0, 1.0])
+    report = check_hourglass_at(mset, listed(mset)[0], [1.0, 1.0])
     # The other member's image (0, 1) is incomparable with (1, 0) and no
     # further member exists, so the first assertion fails outright.
     assert not report.h1.satisfied
@@ -70,7 +70,7 @@ def test_example4_probe_fails_without_witness():
 
 def test_probe_vector_must_be_positive(chain):
     with pytest.raises(ValueError, match="positive"):
-        check_hourglass_at(chain, chain.elements[0], [1.0, 0.0])
+        check_hourglass_at(chain, listed(chain)[0], [1.0, 0.0])
 
 
 def test_probe_must_belong_to_set(chain):
@@ -81,7 +81,7 @@ def test_probe_must_belong_to_set(chain):
 def test_report_scaling_invariance(rng):
     for trial in range(10):
         iru = random_iru_set(rng, 3, 2, 3)
-        members = iru.members()
+        members = listed(iru)
         probe = members[int(rng.integers(0, len(members)))]
         u = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
         factor = float(rng.uniform(0.3, 3.0))
@@ -102,7 +102,7 @@ def test_sampled_check_passes_on_random_positive_iru(rng):
         iru = random_iru_set(rng, n, m, 4)
         assert check_hset_sampled(iru, 50, rng_seed=trial).passed, trial
         # The enumerated members take the sampled path.
-        outcome = check_hset_sampled(FiniteSet(iru.members()), 50, rng_seed=trial)
+        outcome = check_hset_sampled(FiniteSet(listed(iru)), 50, rng_seed=trial)
         assert outcome.passed, trial
 
 
@@ -124,7 +124,7 @@ def test_iru_verdict_matches_the_enumerated_check(rng):
     for trial in range(200):
         iru = _iru_with_zeros_and_repeats(rng, trial)
         got = check_hset_sampled(iru, 6, rng_seed=trial)
-        enumerated = check_hset_sampled(FiniteSet(iru.members()), 6, rng_seed=trial)
+        enumerated = check_hset_sampled(FiniteSet(listed(iru)), 6, rng_seed=trial)
         assert (got.passed, got.failures) == (True, ())
         assert (enumerated.passed, len(enumerated.failures)) == (True, 0), trial
 
@@ -159,7 +159,7 @@ def test_negative_tol_is_rejected(chain):
     with pytest.raises(ValueError, match="tolerance"):
         check_hset_sampled(IRUSet([[[1.0, 2.0]]]), 5, rng_seed=0, tol=-1.0)
     with pytest.raises(ValueError, match="tolerance"):
-        check_hourglass_at(chain, chain.elements[0], [1.0, 1.0], tol=-1e-12)
+        check_hourglass_at(chain, listed(chain)[0], [1.0, 1.0], tol=-1e-12)
     # tol == 0 is allowed: a one-member set then holds at every probe.
     single = FiniteSet([Matrix([[1.0, 2.0], [3.0, 4.0]])])
     assert check_hset_sampled(single, 5, rng_seed=0, tol=0.0).passed
@@ -197,7 +197,7 @@ def test_reported_witnesses_satisfy_their_inequalities(rng):
     checked = 0
     for trial in range(12):
         iru = random_iru_set(rng, 3, 3, 3)
-        members = iru.members()
+        members = listed(iru)
         probe = members[int(rng.integers(0, len(members)))]
         u = 10.0 ** rng.uniform(-2.0, 2.0, size=3)
         rep = check_hourglass_at(iru, probe, u)
@@ -231,7 +231,7 @@ def _assert_same_reports(got, expected):
 def test_sampled_check_is_deterministic(rng):
     # Enumerated sets take the sampled path; Example 4 fails at its draws.
     iru = random_iru_set(rng, 2, 2, 3)
-    for mset in (FiniteSet(iru.members()), ex4_set()):
+    for mset in (FiniteSet(listed(iru)), ex4_set()):
         first = check_hset_sampled(mset, 20, rng_seed=9)
         second = check_hset_sampled(mset, 20, rng_seed=9)
         assert first.passed == second.passed
@@ -243,7 +243,7 @@ def _reference_failures(mset, n_probes, seed):
     """Failing reports of a loop over single probes, with the same draws."""
     rng = np.random.default_rng(seed)
     failures = []
-    for probe in mset.members():
+    for probe in listed(mset):
         for u in 10.0 ** rng.uniform(-2.0, 2.0, size=(n_probes, mset.shape[1])):
             report = check_hourglass_at(mset, probe, u)
             if not report.holds:

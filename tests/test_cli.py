@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hourglass import cli
 from hourglass.cli import main, report_text
 
-from helpers import ex4_set
+from helpers import ex4_set, listed
 
 from hourglass import FiniteSet, Matrix, Scale, Sum, set_to_json
 
@@ -148,7 +148,7 @@ def test_algebra_materializes_and_roundtrips(files, capsys):
     from hourglass import set_from_json
 
     back = set_from_json(report)
-    assert len(back.members()) == 3
+    assert len(back.stack()) == 3
 
 
 def test_batch_sweep(files, capsys):
@@ -309,7 +309,7 @@ def test_iru_entries_must_be_numbers(tmp_path, capsys, row_sets, location):
 def _saddle_iru_and_finite(tmp_path, capsys, a, b, *flags):
     """`saddle` outputs for two IRU sets and for their members as finite sets."""
     reports = []
-    for tag, sets in (("iru", (a, b)), ("finite", [FiniteSet(s.members()) for s in (a, b)])):
+    for tag, sets in (("iru", (a, b)), ("finite", [FiniteSet(listed(s)) for s in (a, b)])):
         paths = []
         for name, mset in zip("ab", sets):
             p = tmp_path / f"{tag}_{name}.json"
@@ -336,6 +336,24 @@ def test_iru_by_finite_saddle_never_enumerates_the_iru_set(tmp_path, capsys):
     assert code == 0
     assert report["gap"] == 0.0
     assert report["certificate"]["valid"] is True
+
+
+def test_hull_samples_draw_iru_sets_past_2_63_members(tmp_path, capsys):
+    # 2^70 members of A (70 row sets of two rows) against a 2x70 IRU set: a
+    # hull point picks one row per row set, so no member index is drawn and
+    # a cap above the cardinality is all the draw needs.
+    rng = np.random.default_rng(70)
+    paths = []
+    for name, size in (("a", (70, 2, 2)), ("b", (2, 2, 70))):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps({"kind": "iru", "row_sets": rng.uniform(0.05, 1, size=size).tolist()}))
+        paths.append(str(p))
+    code, report = run_cli(
+        capsys, "saddle", *paths, "--certify", "--hull-samples", "5", "--cap", str(10 ** 30)
+    )
+    assert code == 0
+    assert report["certificate"]["valid"] is True
+    assert report["hull_check"] is True
 
 
 def test_iru_saddle_falls_back_to_the_exhaustive_report(tmp_path, capsys):

@@ -26,19 +26,17 @@ from hourglass import (
 )
 from hourglass.saddle import draw_hull_samples
 
-from helpers import diag, random_finite_set
+from helpers import diag, draw_reference, listed, random_finite_set
 
 
-def random_pair(rng, max_rows=3, low=0.05, high=1.0):
+def random_pair(rng, max_rows=3):
     n, m = (int(x) for x in rng.integers(2, 4, size=2))
-    a = random_iru_set(rng, n, m, max_rows, low, high)
-    b = random_iru_set(rng, m, n, max_rows, low, high)
-    return a, b
+    return random_iru_set(rng, n, m, max_rows), random_iru_set(rng, m, n, max_rows)
 
 
 def finite(mset):
     """The members of a set listed as a finite set: the exhaustive oracle."""
-    return FiniteSet(mset.members())
+    return FiniteSet(listed(mset))
 
 
 def count_calls(monkeypatch, name):
@@ -96,10 +94,10 @@ def test_best_responses_agree_with_manual_scan(rng):
 
     a = Matrix(rng.uniform(0.1, 1.0, size=(2, 3)))
     bset = FiniteSet([Matrix(rng.uniform(0.1, 1.0, size=(3, 2))) for _ in range(5)])
-    rhos = [spectral_radius(Matrix(a.data @ m.data)).rho for m in bset.elements]
+    rhos = [spectral_radius(Matrix(a.data @ m)).rho for m in bset.stack()]
     chosen, rho = best_response_max(a, bset)
     assert rho == max(rhos)
-    assert np.array_equal(chosen, bset.elements[int(np.argmax(rhos))].data)
+    assert np.array_equal(chosen, bset.stack()[int(np.argmax(rhos))])
 
 
 def test_best_response_shape_checks(ex4):
@@ -183,7 +181,7 @@ def test_best_response_falls_back_to_a_scan_on_degenerate_iru_sets(monkeypatch):
     # row selection is not known to be exact: the members are then scanned
     a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.0, 0.0]]])
     b = Matrix([[0.4, 0.4], [0.9, 0.1]])
-    expected, rho_expected = best_response_min(b, FiniteSet(a.members()))
+    expected, rho_expected = best_response_min(b, finite(a))
     scans = []
 
     def counted(self, cap, _stack=IRUSet.stack):
@@ -254,8 +252,8 @@ def test_solve_saddle_example4_gap(ex4):
     assert result.maxmin == 0.0
     assert result.gap == 1.0
     # ties break to the earliest enumeration index
-    assert np.array_equal(result.b_tilde, ex4.elements[0].data)
-    assert np.array_equal(result.a_tilde, ex4.elements[1].data)
+    assert np.array_equal(result.b_tilde, ex4.stack()[0])
+    assert np.array_equal(result.a_tilde, ex4.stack()[1])
 
 
 def test_solve_saddle_random_iru_pair_has_no_gap(rng):
@@ -335,7 +333,7 @@ def test_solve_saddle_value_stable_under_hull_supersets(rng):
         base = solve_saddle(a, b)
         gen = np.random.default_rng(trial)
         a_aug, b_aug = (
-            FiniteSet(s.members() + [Matrix(draw_hull_samples(s, 1, gen)[0])])
+            FiniteSet(listed(s) + [Matrix(draw_hull_samples(s, 1, gen)[0])])
             for s in (a, b)
         )
         augmented = solve_saddle(a_aug, b_aug)
@@ -501,7 +499,7 @@ def test_results_are_read_only_copies_of_members(ex4, monkeypatch):
     b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
     fa, fb = finite(a), finite(b)
     fixed = Matrix([[0.4, 0.4], [0.9, 0.1]])
-    with_zero = FiniteSet([*ex4.elements, Matrix(np.zeros((2, 2)))])
+    with_zero = FiniteSet([*listed(ex4), Matrix(np.zeros((2, 2)))])
 
     def refuse(self, *args, **kwargs):
         raise AssertionError("Matrix built")
@@ -572,11 +570,11 @@ def test_certificate_soundness_spot_check(rng):
     result = solve_saddle(a, b)
     cert = certify_saddle(result, a, b)
     assert cert.valid
-    for mat in a.members():
-        rho = spectral_radius(Matrix(mat.data @ result.b_tilde)).rho
+    for mat in a.stack():
+        rho = spectral_radius(Matrix(mat @ result.b_tilde)).rho
         assert rho >= result.value - 1e-9
-    for mat in b.members():
-        rho = spectral_radius(Matrix(result.a_tilde @ mat.data)).rho
+    for mat in b.stack():
+        rho = spectral_radius(Matrix(result.a_tilde @ mat)).rho
         assert rho <= result.value + 1e-9
     assert check_saddle_hull_samples(result, a, b, 200, seed=77)
 
@@ -599,38 +597,23 @@ def test_hull_samples_random_pair(rng):
     assert check_saddle_hull_samples(result, a, b, 200, seed=5)
 
 
-def _draw_reference(stack, n, seed):
-    """The hull draw written point by point: same three draws, r_s terms each."""
-    rng = np.random.default_rng(seed)
-    r = rng.integers(1, min(4, len(stack)) + 1, size=n)
-    picks = rng.integers(0, len(stack), size=(n, 4))
-    weights = rng.exponential(1.0, size=(n, 4))
-    points = []
-    for s in range(n):
-        w = weights[s, : r[s]] / weights[s, : r[s]].sum()
-        points.append(np.einsum("k,kij->ij", w, stack[picks[s, : r[s]]]))
-    return np.stack(points)
-
-
 def test_hull_samples_iru_match_finite_members(rng):
-    # Oracle: an IRU pair and the same members listed as finite sets draw
-    # bit-identical sample stacks from one seed and reach the same verdict;
-    # the finite draw equals the point-by-point reference.
+    # Oracle: from one seed, an IRU pair draws B's and then A's points as
+    # the reference that picks one row per row set over the enumerated
+    # stack, and the same members listed as finite sets draw them as the
+    # member-index reference; every verdict on either pair passes.
     verdicts = []
     for trial in range(50):
         a, b = random_pair(rng)
-        fa, fb = FiniteSet(a.members()), FiniteSet(b.members())
+        fa, fb = finite(a), finite(b)
         result = solve_saddle(a, b)
-        draws = []
-        for pair in ((a, b), (fa, fb)):
-            gen = np.random.default_rng(trial)
-            draws.append([draw_hull_samples(s, 30, gen) for s in pair[::-1]])
-        for iru_samples, finite_samples in zip(*draws):
-            assert np.array_equal(iru_samples, finite_samples)
-        assert np.array_equal(draws[1][0], _draw_reference(fb.stack(), 30, trial))
-        verdict = check_saddle_hull_samples(result, a, b, 30, seed=trial)
-        assert verdict == check_saddle_hull_samples(result, fa, fb, 30, seed=trial)
-        verdicts.append(verdict)
+        for pair, by_row in (((a, b), True), ((fa, fb), False)):
+            gen, ref = np.random.default_rng(trial), np.random.default_rng(trial)
+            for s in pair[::-1]:
+                sizes = [len(rs) for rs in s.row_sets] if by_row else None
+                expected = draw_reference(s.stack(), 30, ref, sizes)
+                assert np.array_equal(draw_hull_samples(s, 30, gen), expected)
+            verdicts.append(check_saddle_hull_samples(result, *pair, 30, seed=trial))
     assert all(verdicts)
 
 

@@ -28,9 +28,16 @@ from hourglass import (
 )
 from hourglass import sets as sets_module
 from hourglass.saddle import draw_hull_samples
-from hourglass.sets import _DEDUP_PAIRWISE_LIMIT, _dedup_indices, hull_points
+from hourglass.sets import _DEDUP_PAIRWISE_LIMIT, _dedup_indices
 
-from helpers import dedup_indices_reference, diag, random_finite_set, sets_equal
+from helpers import (
+    dedup_indices_reference,
+    diag,
+    draw_reference,
+    listed,
+    random_finite_set,
+    sets_equal,
+)
 
 
 # --- representations ----------------------------------------------------------
@@ -72,7 +79,7 @@ def test_linearly_ordered_set_rejects_unordered():
 def test_iru_cardinality_and_enumeration_order():
     iru = IRUSet([[[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]])
     assert iru.cardinality == 6
-    members = iru.members()
+    members = listed(iru)
     assert len(members) == 6
     # row-major: the last row set cycles fastest
     assert members[0] == Matrix([[1.0, 0.0], [0.0, 1.0]])
@@ -93,13 +100,13 @@ def test_iru_rejects_negative_rows():
 def test_enumerate_cap_reports_cardinality():
     iru = IRUSet([np.ones((10, 2))] * 6)
     with pytest.raises(CapExceededError) as err:
-        iru.members(cap=1000)
+        iru.stack(cap=1000)
     assert err.value.cardinality == 10 ** 6
     assert err.value.cap == 1000
 
 
 def test_example4_enumerates_two_members(ex4):
-    assert len(ex4.members()) == 2
+    assert len(ex4.stack()) == 2
 
 
 # --- Minkowski operations ------------------------------------------------------
@@ -226,7 +233,7 @@ def test_products_do_not_distribute_over_sums(ex4):
 def test_expr_set_enumerates_through_the_tree(ex4):
     expr = Sum(ex4, ex4)
     assert expr.shape == (2, 2)
-    assert len(expr.members()) == 3
+    assert len(expr.stack()) == 3
 
 
 def test_nodes_reject_operands_that_are_not_sets(ex4):
@@ -329,39 +336,81 @@ def test_draw_hull_samples_stay_in_envelope(rng):
 
 
 def test_convex_hull_sample_iru_gathers_the_members_of_its_stack(rng):
-    # Same seed, same points, whether the IRU set gathers members by row or
-    # its members are listed as a finite set; the reference is the per-seed
-    # draw indexed into the enumerated stack, one point at a time.
+    # Same seed, same points as the reference that draws one row per row
+    # set and indexes the enumerated stack one point at a time; the members
+    # listed as a finite set draw member indices, as in the reference.
     for trial in range(20):
         n, m = (int(x) for x in rng.integers(1, 5, size=2))
         iru = IRUSet([rng.uniform(0, 1, size=(int(rng.integers(1, 4)), m)) for _ in range(n)])
-        finite = FiniteSet(iru.members())
-        stack = iru.stack()
+        finite = FiniteSet(listed(iru))
+        sizes = [len(rs) for rs in iru.row_sets]
         for count in range(1, 7):
             seed = trial * 10 + count
-            draw = np.random.default_rng(seed)
-            terms = draw.integers(1, min(4, len(stack)) + 1, size=count)
-            picks = draw.integers(0, len(stack), size=(count, 4))
-            weights = draw.exponential(1.0, size=(count, 4))
-            expected = []
-            for s in range(count):
-                w = weights[s, : terms[s]] / weights[s, : terms[s]].sum()
-                expected.append(np.einsum("k,kij->ij", w, stack[picks[s, : terms[s]]]))
             samples = draw_hull_samples(iru, count, np.random.default_rng(seed))
-            assert np.array_equal(samples, np.stack(expected))
+            expected = draw_reference(iru.stack(), count, np.random.default_rng(seed), sizes)
+            assert np.array_equal(samples, expected)
             finite_samples = draw_hull_samples(finite, count, np.random.default_rng(seed))
-            assert np.array_equal(finite_samples, samples)
+            expected = draw_reference(finite.stack(), count, np.random.default_rng(seed))
+            assert np.array_equal(finite_samples, expected)
 
 
 def test_hull_points_follow_enumeration_order():
+    # Member 3 i + j takes row i of row set 0 and row j of row set 1, so the
+    # picks listed by itertools.product gather the stack, and hull points
+    # combine the same members by pick or by enumeration index.
     iru = IRUSet([[[1.0, 0.0], [2.0, 0.0]], [[0.0, 1.0], [0.0, 2.0], [0.0, 3.0]]])
-    picks = np.arange(6)[:, None]
-    points = hull_points(iru, picks, np.ones((6, 1)))
-    assert np.array_equal(points, iru.stack())
-    half = hull_points(iru, np.array([[0, 5]]), np.array([[0.5, 0.5]]))
-    assert np.array_equal(half[0], [[1.5, 0.0], [0.0, 2.0]])
+    picks = np.array(list(itertools.product(range(2), range(3))))
+    assert np.array_equal(iru.gather(picks), iru.stack())
+    assert np.array_equal(iru.take(np.arange(6)), iru.stack())
+    half = 0.5 * iru.gather([[0, 0], [1, 2]]).sum(axis=0)
+    assert np.array_equal(half, [[1.5, 0.0], [0.0, 2.0]])
+    assert np.array_equal(0.5 * iru.take([0, 5]).sum(axis=0), half)
     with pytest.raises(CapExceededError):
-        hull_points(iru, picks, np.ones((6, 1)), cap=5)
+        iru.take(np.arange(6), cap=5)
+
+
+def test_iru_gather_matches_a_product_oracle(rng):
+    # Row picks and members listed together by itertools.product, on 3 row
+    # sets and on 70 (numpy arrays stop at 64 dimensions, gather does not).
+    for sizes in ((2, 3, 4), (1,) * 3 + (2,) + (1,) * 36 + (3,) + (1,) * 28 + (2,)):
+        row_sets = [rng.uniform(0, 1, size=(k, 2)) for k in sizes]
+        iru = IRUSet(row_sets)
+        picks = np.array(list(itertools.product(*(range(k) for k in sizes))))
+        oracle = np.array([np.stack(rows) for rows in itertools.product(*row_sets)])
+        gathered = iru.gather(picks)
+        assert gathered.shape == (len(oracle), len(sizes), 2)
+        assert np.array_equal(gathered, oracle)
+        assert not gathered.flags.writeable
+        order = rng.permutation(len(oracle))[:6].reshape(2, 3)
+        assert np.array_equal(iru.gather(picks[order]), oracle[order])
+        assert np.array_equal(iru.gather(picks[0]), oracle[0])
+
+
+def test_iru_gather_never_enumerates(monkeypatch):
+    iru = IRUSet([[[1.0, 0.0], [0.0, 2.0]]] * 70)  # 2**70 members
+
+    def refuse(self, cap=None):
+        raise AssertionError("IRUSet.stack must not be called")
+
+    monkeypatch.setattr(IRUSet, "stack", refuse)
+    picks = np.zeros((3, 70), dtype=int)
+    picks[1, 5] = picks[2] = 1
+    members = iru.gather(picks)
+    assert members.shape == (3, 70, 2)
+    assert np.array_equal(members[0], np.tile([1.0, 0.0], (70, 1)))
+    assert np.array_equal(members[1, 5], [0.0, 2.0])
+    assert np.array_equal(np.delete(members[1], 5, axis=0), members[0, 1:])
+    assert np.array_equal(members[2], np.tile([0.0, 2.0], (70, 1)))
+
+
+def test_iru_gather_rejects_bad_picks():
+    iru = IRUSet([[[1.0], [2.0]], [[3.0], [4.0], [5.0]]])
+    for bad in ([2, 0], [0, 3], [-1, 0], [0, -1], [[0, 0], [1, 3]]):
+        with pytest.raises(ValueError, match="out of range"):
+            iru.gather(bad)
+    for bad in ([0], [0, 0, 0], 0):
+        with pytest.raises(ValueError, match="one row index per row set"):
+            iru.gather(bad)
 
 
 def test_iru_take_matches_a_product_oracle(rng):
@@ -374,7 +423,7 @@ def test_iru_take_matches_a_product_oracle(rng):
     assert iru.take(picks).shape == (7, 3, 3, 3)
     assert np.array_equal(iru.take(picks), oracle[picks])
     assert np.array_equal(iru.stack(), oracle)
-    assert np.array_equal(FiniteSet(iru.members()).take(picks), oracle[picks])
+    assert np.array_equal(FiniteSet(listed(iru)).take(picks), oracle[picks])
 
 
 def test_iru_take_beyond_64_row_sets_matches_a_product_oracle(rng):
@@ -434,9 +483,7 @@ def test_set_json_roundtrip(kind, ex4):
     wire = json.loads(json.dumps(set_to_json(mset)))
     back = set_from_json(wire)
     assert set_to_json(back) == set_to_json(mset)
-    assert sets_equal(
-        FiniteSet(back.members()), FiniteSet(mset.members())
-    )
+    assert sets_equal(back, mset)
 
 
 def test_leaf_document_is_the_set_it_holds(ex4):
@@ -492,9 +539,11 @@ def test_stack_is_read_only_and_matches_members(kind, ex4):
         "expr": Sum(ex4, ex4),
     }[kind]
     stack = mset.stack()
-    assert stack.shape == (len(mset.members()),) + mset.shape
+    assert stack.shape == (mset.count(),) + mset.shape
     assert not stack.flags.writeable
-    assert [Matrix(x) for x in stack] == mset.members()
+    taken = mset.take(np.arange(len(stack)))
+    assert np.array_equal(taken, stack)
+    assert not taken.flags.writeable
     with pytest.raises(CapExceededError):
         mset.stack(cap=len(stack) - 1)
 

@@ -115,5 +115,11 @@ dup = {"kind": "expr", "expr": {"op": "sum", "left": {"op": "leaf", "set": finit
        "right": {"op": "leaf", "set": finite([g + 5e-13 * (i % 2) for i, g in enumerate(grid)])}}}
 run(["algebra", dump("dup.json", dup)])
 run(["hset-check", f["big_a"], "--probes", "4", "--cap", "10"])   # 81 IRU members past the cap
+# 2^70 IRU members against a 2x70 IRU set: each hull point picks one row
+# per row set, so the draw works past 2^63 members under a large cap.
+g70 = np.random.default_rng(70)
+wide = [dump(f"{name}.json", {"kind": "iru", "row_sets": g70.uniform(0.05, 1, size=shape).tolist()})
+        for name, shape in (("iru70_a", (70, 2, 2)), ("iru70_b", (2, 2, 70)))]
+run(["saddle", *wide, "--certify", "--hull-samples", "5", "--cap", str(10 ** 30)])
 if mismatched:
     sys.exit("reports that differ from the stdlib encoding of their parse: " + "; ".join(mismatched))
