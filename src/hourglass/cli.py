@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 property failure (a gap above tolerance under
 non-convergence.  All randomness derives from --seed, so identical
 invocations produce byte-identical reports.  Each report is the text the
 standard library's ``json.dumps`` writes with an indent of 2 and sorted
-keys, and a newline.  The environment variable HOURGLASS_CAP overrides the
-default enumeration cap; an explicit --cap flag wins over both.
+keys, and a newline; a member stack is written as the list of its members
+in the matrix wire form, with the same bytes.  The environment variable
+HOURGLASS_CAP overrides the default enumeration cap; an explicit --cap flag
+wins over both.
 """
 
 from __future__ import annotations
@@ -192,8 +194,7 @@ def _cmd_hausdorff(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_algebra(args: argparse.Namespace) -> tuple[int, dict]:
-    stack = _load_set(args.set).stack(args.cap)
-    return EXIT_OK, {"kind": "finite", "matrices": [matrix_json(a) for a in stack]}
+    return EXIT_OK, {"kind": "finite", "matrices": _load_set(args.set).stack(args.cap)}
 
 
 def _cmd_batch(args: argparse.Namespace) -> tuple[int, dict]:
@@ -258,49 +259,63 @@ def report_text(report) -> str:
     """``report`` as ``json.dumps`` writes it with indent 2 and sorted keys.
 
     With an indent, the standard library leaves its C encoder for a
-    pure-Python one.  Here each list of floats is one ``str.join``, and
-    each distinct row of floats is formatted once per report: the members
-    of a Minkowski sum share their rows.  Dict keys must be strings.
+    pure-Python one.  Here each list of floats is one ``str.join``.  A 3-D
+    float64 array is a member stack, written as the list of its members'
+    ``matrix_json`` wire forms: the bytes the standard library writes for
+    that list.  Any other array raises ``TypeError``, as the standard
+    library does.  Dict keys must be strings.
     """
-    return _text(report, "\n", {})
+    return _text(report, "\n")
 
 
-def _text(o, nl: str, rows: dict) -> str:
-    """JSON text of ``o``, closed by ``nl`` (a newline and the indentation).
-
-    ``rows`` caches the text of each row of floats for one report.  It is
-    passed down, not closed over: a nested function that calls itself is a
-    reference cycle, which would hold each report's strings until the next
-    garbage collection and raise peak RSS.
-    """
+def _text(o, nl: str) -> str:
+    """JSON text of ``o``, closed by ``nl`` (a newline and the indentation)."""
     inner = nl + "  "
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         if type(o[0]) is float and not [x for x in o if type(x) is not float]:
-            # Equal rows of floats have equal text, except that -0.0 == 0.0,
-            # so rows with a zero are not cached.  The exact type test keeps
-            # out True, which equals 1.0.
-            key = None if 0.0 in o else (nl, *o)
-            row = rows.get(key)
-            if row is None:
-                row = "[" + inner + ("," + inner).join(map(_float_text, o)) + nl + "]"
-                if key is not None:
-                    rows[key] = row
-            return row
-        items = [_text(x, inner, rows) for x in o]
+            return "[" + inner + ("," + inner).join(map(_float_text, o)) + nl + "]"
+        items = [_text(x, inner) for x in o]
         opening, closing = "[", "]"
     elif isinstance(o, dict):
         if not o:
             return "{}"
         items = [
-            encode_basestring_ascii(k) + ": " + _text(v, inner, rows)
+            encode_basestring_ascii(k) + ": " + _text(v, inner)
             for k, v in sorted(o.items())
         ]
         opening, closing = "{", "}"
+    elif isinstance(o, np.ndarray) and o.ndim == 3 and o.dtype == np.float64:
+        return _stack_text(o, nl)
     else:
         return _scalar_text(o)
     return opening + inner + ("," + inner).join(items) + nl + closing
+
+
+def _stack_text(stack: np.ndarray, nl: str) -> str:
+    """JSON text of ``[matrix_json(a) for a in stack]``, closed by ``nl``.
+
+    The members of a Minkowski sum share their rows, so each distinct row
+    is formatted once and each member is joined from its rows' texts.
+    Rows are told apart by their bytes, which keeps -0.0 and 0.0 apart.
+    """
+    if not stack.size:
+        return _text([matrix_json(a) for a in stack], nl)
+    k, n, m = stack.shape
+    member, field, row = nl + "  ", nl + "    ", nl + "      "
+    entry = row + "  "
+    flat = np.ascontiguousarray(stack).reshape(k * n, m)
+    distinct, which = np.unique(flat.view(np.dtype((np.void, 8 * m))), return_inverse=True)
+    texts = [
+        "[" + entry + ("," + entry).join(map(_float_text, r)) + row + "]"
+        for r in distinct.view(np.float64).reshape(-1, m).tolist()
+    ]
+    rows = [texts[i] for i in which.reshape(-1).tolist()]
+    head = "{" + field + f'"cols": {m},' + field + '"data": [' + row
+    tail = field + "]," + field + f'"rows": {n}' + member + "}"
+    members = [head + ("," + row).join(rows[i : i + n]) + tail for i in range(0, k * n, n)]
+    return "[" + member + ("," + member).join(members) + nl + "]"
 
 
 def _emit(report: dict, output: str | None) -> None:

@@ -13,7 +13,8 @@ from hourglass.cli import main, report_text
 
 from helpers import ex4_set, listed
 
-from hourglass import FiniteSet, Matrix, Scale, Sum, set_to_json
+from hourglass import FiniteSet, IRUSet, Matrix, Scale, Sum, set_to_json
+from hourglass.linalg import matrix_json
 
 
 @pytest.fixture
@@ -444,8 +445,15 @@ def test_expr_sets_are_evaluated_once_per_invocation(tmp_path, capsys, monkeypat
         assert len(evaluations) == 2, argv
 
 
-def stdlib_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
+def stdlib_text(obj, **kwargs):
+    return json.dumps(obj, indent=2, sort_keys=True, **kwargs)
+
+
+def expand_stack(o):
+    """``default`` for ``json.dumps``: a member stack as its members' wire forms."""
+    if isinstance(o, np.ndarray) and o.ndim == 3 and o.dtype == np.float64:
+        return [matrix_json(a) for a in o]
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def test_every_report_is_the_standard_indented_encoding(files, tmp_path, capsys, monkeypatch):
@@ -497,7 +505,7 @@ def test_every_report_is_the_standard_indented_encoding(files, tmp_path, capsys,
         assert main(argv) == code, argv
         text = texts[argv[-1]] = capsys.readouterr().out
         assert text == stdlib_text(json.loads(text)) + "\n", argv
-        assert text == stdlib_text(written[-1]) + "\n", argv
+        assert text == stdlib_text(written[-1], default=expand_stack) + "\n", argv
     assert len(written) == len(runs)
     assert "[\n          -0.0,\n          1.0\n        ]" in texts[signed_zeros]
 
@@ -543,10 +551,56 @@ def test_report_text_traps(report):
 
 
 def test_report_text_rejects_what_json_rejects():
-    for bad in (np.float32(1.0), np.int64(1), {1, 2}, {"a": object()}):
+    # only a 3-D float64 array is a member stack
+    arrays = (np.zeros((2, 2)), np.zeros((2, 2, 2), dtype=np.int64),
+              np.zeros((2, 2, 2), dtype=np.float32))
+    for bad in (np.float32(1.0), np.int64(1), {1, 2}, {"a": object()}, *arrays):
         with pytest.raises(TypeError):
             stdlib_text(bad)
         with pytest.raises(TypeError):
             report_text(bad)
     # numpy float64 is a float: both write it through float.__repr__
     assert report_text([np.float64(0.1), np.float64(2.0)]) == "[\n  0.1,\n  2.0\n]"
+
+
+#: Entries whose texts are easy to mix up, and arbitrary non-negative floats.
+_entries = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-05, 1.0]) | st.floats(
+    min_value=0.0, allow_nan=False)
+
+
+@st.composite
+def _stacks(draw):
+    """A (K, n, m) float64 stack whose rows repeat from a pool of up to 4 rows."""
+    n, m, k = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    pool = draw(st.lists(st.lists(_entries, min_size=m, max_size=m), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=k * n, max_size=k * n))
+    return np.array([pool[i] for i in picks], dtype=np.float64).reshape(k, n, m)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stacks())
+def test_report_text_writes_a_stack_as_its_members_wire_forms(stack):
+    for report in (stack, {"kind": "finite", "set": {"matrices": stack, "t": [0.5]}}):
+        assert report_text(report) == stdlib_text(report, default=expand_stack)
+
+
+def test_algebra_formats_each_distinct_row_once(tmp_path, capsys, monkeypatch):
+    # every row of the 64 sums has a zero, and the 192 rows hold 12 distinct ones
+    rng = np.random.default_rng(13)
+    left, right = rng.uniform(0.05, 1, size=(2, 3, 2, 3))
+    left[..., 0] = right[..., 0] = 0.0
+    path = tmp_path / "sum.json"
+    path.write_text(json.dumps(set_to_json(Sum(IRUSet(left), IRUSet(right)))))
+    calls = []
+    float_text = cli._float_text
+
+    def counting(x):
+        calls.append(x)
+        return float_text(x)
+
+    monkeypatch.setattr(cli, "_float_text", counting)
+    code, report = run_cli(capsys, "algebra", str(path))
+    assert code == 0
+    rows = [row for member in report["matrices"] for row in member["data"]]
+    assert len(rows) == 192
+    assert len(calls) == 3 * len(set(map(tuple, rows))) == 36

@@ -121,5 +121,12 @@ g70 = np.random.default_rng(70)
 wide = [dump(f"{name}.json", {"kind": "iru", "row_sets": g70.uniform(0.05, 1, size=shape).tolist()})
         for name, shape in (("iru70_a", (70, 2, 2)), ("iru70_b", (2, 2, 70)))]
 run(["saddle", *wide, "--certify", "--hull-samples", "5", "--cap", str(10 ** 30)])
+# A member stack written by the encoder: rows with signed zeros, the
+# smallest subnormal, the exponent boundaries of float.__repr__ and
+# integer-valued floats.
+zeros_l = finite([[[-0.0, 5e-324], [1e16, 2.0]], [[0.0, 1e-05], [3.0, -0.0]]])
+zeros_r = finite([[[-0.0, 0.0], [1.0, 1e-05]], [[-0.0, 5e-324], [0.0, 4.0]]])
+run(["algebra", dump("zeros.json", {"kind": "expr", "expr": {"op": "sum",
+     "left": {"op": "leaf", "set": zeros_l}, "right": {"op": "leaf", "set": zeros_r}}})])
 if mismatched:
     sys.exit("reports that differ from the stdlib encoding of their parse: " + "; ".join(mismatched))
