@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from hourglass import DEDUP_TOL, FiniteSet, Matrix, hausdorff_distance
+from hourglass.linalg import DEFAULT_MAX_ITER, DEFAULT_TOL, POWER_SHIFT
 from hourglass.sets import _DEDUP_PAIRWISE_LIMIT
 
 
@@ -23,6 +24,46 @@ def rho_2x2_closed_form(entries) -> float:
     (a, b), (c, d) = entries
     disc = (a - d) * (a - d) + 4.0 * b * c
     return ((a + d) + math.sqrt(disc)) / 2.0
+
+
+def power_many_reference(mats, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+    """The Perron kernel's stopping test on single power steps only.
+
+    Every step is ``w = S v`` with S = A + POWER_SHIFT*I, from the uniform
+    vector, and the test of ``power_many`` runs after each: two consecutive
+    Rayleigh quotients agree within ``tol * max(1, |q|)`` and the residual
+    is within ``tol`` times max(1, row-sum norm of S).  Returns ``(rho,
+    vectors, iterations, converged)`` like ``power_many``.
+    """
+    mats = np.asarray(mats, dtype=np.float64)
+    count, n = mats.shape[0], mats.shape[1]
+    shifted = mats + POWER_SHIFT * np.eye(n)
+    scale = np.maximum(1.0, shifted.sum(axis=2).max(axis=1))
+    rho = np.empty(count)
+    vectors = np.empty((count, n))
+    iterations = np.zeros(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    idx = np.arange(count)
+    v = np.full((count, n), 1.0 / n)
+    q_prev = np.full(count, np.inf)
+    for k in range(1, max_iter + 1):
+        w = np.einsum("lij,lj->li", shifted, v)
+        q = np.einsum("li,li->l", v, w) / np.einsum("li,li->l", v, v)
+        resid = np.abs(w - q[:, None] * v).max(axis=1)
+        done = (np.abs(q - q_prev) <= tol * np.maximum(1.0, np.abs(q))) & (
+            resid <= tol * scale
+        )
+        stop = done | (k == max_iter)
+        hit = idx[stop]
+        rho[hit], vectors[hit], iterations[hit] = q[stop] - POWER_SHIFT, v[stop], k
+        converged[hit] = done[stop]
+        keep = ~stop
+        idx, shifted, scale = idx[keep], shifted[keep], scale[keep]
+        v, w, q_prev = v[keep], w[keep], q[keep]
+        if not idx.size:
+            break
+        v = w / w.sum(axis=1, keepdims=True)
+    return rho, vectors, iterations, converged
 
 
 def diag(*values) -> Matrix:

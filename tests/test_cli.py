@@ -372,13 +372,13 @@ def test_iru_saddle_falls_back_to_the_exhaustive_report(tmp_path, capsys):
 
 
 def test_iru_saddle_certifies_at_the_users_tol(tmp_path, capsys):
-    # The settled pair's A residual is about -2.2e-13 (rounding), so the
+    # The settled pair's A residual is about -2.6e-13 (rounding), so the
     # structured answer, with its gap of 0.0, stands at --tol 1e-12 and is
     # declined at --tol 1e-14, where the report is the exhaustive one.
     from hourglass import IRUSet
 
-    a = IRUSet([[[0.3, 0.7], [0.6, 0.2]], [[0.5, 0.5]]])
-    b = IRUSet([[[0.4, 0.4]], [[0.9, 0.1], [0.2, 0.8]]])
+    a = IRUSet([[[0.8, 0.4], [0.3, 0.1]], [[0.2, 0.9]]])
+    b = IRUSet([[[0.8, 0.1]], [[0.9, 0.1], [0.1, 0.9]]])
     reports = _saddle_iru_and_finite(tmp_path, capsys, a, b, "--certify", "--tol", "1e-14")
     assert reports[0] == reports[1]
     assert json.loads(reports[0][1])["certificate"]["valid"] is False

@@ -1,5 +1,7 @@
 """Tests for the dense non-negative matrix kernel."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,9 @@ from hourglass import (
     spectral_radius,
 )
 from hourglass.errors import ParseError
-from hourglass.linalg import matrix_json
+from hourglass.linalg import matrix_json, power_many
 
-from helpers import diag, rho_2x2_closed_form
+from helpers import diag, power_many_reference, rho_2x2_closed_form
 
 
 # --- Matrix type ------------------------------------------------------------
@@ -169,6 +171,69 @@ def test_rho_of_product_ignores_factor_order(rng):
         tab = spectral_radius(Matrix((b.T @ a.T))).rho
         assert abs(ab - ba) <= 1e-9
         assert abs(ab - tab) <= 1e-9
+
+
+# --- power_many against the single-step reference ------------------------------
+
+
+def _kernel_stacks(rng, n, count=60):
+    """Seeded positive, 40%-sparse and weighted-permutation n x n stacks."""
+    positive = rng.uniform(0.0, 1.0, size=(count, n, n))
+    sparse = np.where(rng.uniform(size=(count, n, n)) < 0.4, 0.0, positive[::-1])
+    perms = np.zeros((count, n, n))
+    for mat in perms:
+        mat[np.arange(n), rng.permutation(n)] = rng.uniform(0.1, 1.0, size=n)
+    return positive, sparse, perms
+
+
+def test_power_many_verdicts_match_the_single_step_reference(rng):
+    # The jumps change how fast v settles, never what passes.  A budget of
+    # 2,000 steps keeps the reference quick; stalled entries spend all of it
+    # either way.
+    for n in range(2, 7):
+        positive, sparse, perms = _kernel_stacks(rng, n)
+        # Two single steps, then a 16-step jump: a test passes only on the
+        # second single step after a jump, never across one.
+        assert (power_many(positive)[2] % 18 == 2).all()
+        for mats in (positive, sparse, perms):
+            rho, _, iterations, converged = power_many(mats, max_iter=2000)
+            assert np.array_equal(converged, power_many_reference(mats, max_iter=2000)[3])
+            assert (iterations[~converged] == 2000).all()
+            exact = np.abs(np.linalg.eigvals(mats[converged])).max(axis=1)
+            # relative to max(1, rho), as the stopping test is
+            assert (np.abs(rho[converged] - exact) <= 1e-9 * np.maximum(1.0, exact)).all()
+
+
+def test_power_many_iterations_stay_within_the_budget(rng):
+    mats = np.concatenate([stack[:8] for stack in _kernel_stacks(rng, 3)])
+    for max_iter in range(1, 81):
+        _, _, iterations, converged = power_many(mats, max_iter=max_iter)
+        assert (iterations <= max_iter).all()
+        assert (iterations[~converged] == max_iter).all()
+
+
+@pytest.mark.parametrize(
+    "entries, exact",
+    [
+        ([[0.0, 1e20], [0.0, 0.0]], None),  # the jump's power underflows
+        ([[0.0, 1e200], [0.0, 0.0]], None),  # a squaring of the power is all zero
+        ((np.random.default_rng(150).uniform(0.1, 1.0, size=(3, 3)) * 1e150).tolist(), None),
+        ([[1.0, 0.0], [0.0, 0.0]], 1.0),
+        ([[0.0, 0.0], [0.0, 0.0]], 0.0),
+    ],
+)
+def test_power_many_degenerate_inputs_agree_with_the_reference(entries, exact):
+    mats = np.array([entries])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho, vectors, _, converged = power_many(mats)
+    ref_rho, _, _, ref_converged = power_many_reference(mats)
+    assert converged[0] == ref_converged[0]
+    assert np.isfinite(rho).all() and np.isfinite(vectors).all()
+    assert abs(rho[0] - ref_rho[0]) <= 1e-9 * max(1.0, ref_rho[0])
+    if exact is not None:
+        # the shift keeps these bit-exact, with or without jumps
+        assert rho[0] == ref_rho[0] == exact
 
 
 # --- Collatz-Wielandt bounds ---------------------------------------------------
